@@ -10,8 +10,8 @@
 //! behaviours are bisimilar. This crate computes those equivalences
 //! whole-model and packages them as a
 //! [`simcov_core::CollapseCertificate`] that
-//! [`simcov_core::FaultCampaign`] / [`simcov_core::ResilientCampaign`]
-//! consume (`--collapse on|off|verify` in the CLI):
+//! [`simcov_core::ResilientCampaign`] consumes (`--collapse on|off|verify`
+//! in the CLI):
 //!
 //! * [`analyze_collapse`] — the analysis: reachability fixpoint,
 //!   per-cell output/ineffective grouping, transfer-fault equivalence by

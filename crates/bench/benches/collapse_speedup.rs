@@ -12,8 +12,8 @@ use simcov_analyze::{analyze_collapse, AnalyzeOptions};
 use simcov_bench::timing::BenchReport;
 use simcov_bench::{reduced_dlx_machine, wide_output_ring};
 use simcov_core::{
-    enumerate_single_faults, extend_cyclically, CollapseMode, Engine, Fault, FaultCampaign,
-    FaultSpace,
+    enumerate_single_faults, extend_cyclically, CollapseMode, Engine, Fault, FaultSpace,
+    ResilientCampaign,
 };
 use simcov_fsm::ExplicitMealy;
 use simcov_tour::{transition_tour, TestSet};
@@ -47,11 +47,12 @@ fn compare(
         tests.total_vectors()
     );
     let run_with = |mode: CollapseMode| {
-        FaultCampaign::new(m, faults, tests)
+        ResilientCampaign::new(m, faults, tests)
             .engine(engine)
             .jobs(1)
             .collapse(cert, mode)
             .run()
+            .unwrap()
     };
     let off = run_with(CollapseMode::Off);
     let on = run_with(CollapseMode::On);

@@ -10,7 +10,7 @@
 use simcov_bench::timing::BenchReport;
 use simcov_bench::{reduced_dlx_machine, ring_with_chords};
 use simcov_core::{
-    enumerate_single_faults, extend_cyclically, Engine, Fault, FaultCampaign, FaultSpace,
+    enumerate_single_faults, extend_cyclically, Engine, Fault, FaultSpace, ResilientCampaign,
 };
 use simcov_fsm::{ExplicitMealy, InputSym};
 use simcov_prng::Xoshiro256pp;
@@ -73,10 +73,11 @@ fn compare(
         tests.total_vectors()
     );
     let run_with = |engine: Engine| {
-        FaultCampaign::new(m, faults, tests)
+        ResilientCampaign::new(m, faults, tests)
             .engine(engine)
             .jobs(1)
             .run()
+            .unwrap()
     };
     let naive = run_with(Engine::Naive);
     let differential = run_with(Engine::Differential);

@@ -15,7 +15,7 @@ use std::time::Instant;
 use simcov_bench::reduced_dlx_machine;
 use simcov_bench::timing::BenchReport;
 use simcov_core::{
-    default_jobs, enumerate_single_faults, extend_cyclically, Engine, FaultCampaign, FaultSpace,
+    default_jobs, enumerate_single_faults, extend_cyclically, Engine, FaultSpace, ResilientCampaign,
 };
 use simcov_tour::{transition_tour, TestSet};
 
@@ -41,10 +41,11 @@ fn main() {
 
     let time_at = |j: usize| {
         let t0 = Instant::now();
-        let run = FaultCampaign::new(&m, &faults, &tests)
+        let run = ResilientCampaign::new(&m, &faults, &tests)
             .engine(Engine::Naive)
             .jobs(j)
-            .run();
+            .run()
+            .unwrap();
         (run, t0.elapsed())
     };
     // Warm up caches so the serial baseline is not penalized.

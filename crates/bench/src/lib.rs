@@ -32,99 +32,6 @@ pub fn ring_with_chords(n: usize) -> ExplicitMealy {
     b.build(states[0]).expect("ring machine is well-formed")
 }
 
-/// A large pseudo-random *complete* machine whose transition table
-/// defeats the cache: every `(state, input)` cell maps to a hash-mixed
-/// successor, so consecutive steps load from unrelated table lines and
-/// the hardware prefetcher gets nothing. Outputs are deliberately dim —
-/// a `beacon` symbol is emitted only when a transition lands on one of
-/// ~32 evenly spaced beacon states, everything else emits `dull` — so an
-/// injected transfer fault rarely produces an immediate output
-/// difference and its divergence replay runs deep into the suffix.
-/// This is the workload where bit-parallel fault simulation earns its
-/// keep: long, latency-bound scalar replays that 64 packed lanes
-/// overlap.
-pub fn scatter_machine(n: usize) -> ExplicitMealy {
-    assert!(n >= 2, "scatter machine needs at least 2 states");
-    // SplitMix64 finalizer: deterministic, well-mixed successor choice.
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z ^= z >> 30;
-        z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z ^= z >> 27;
-        z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    let beacon_period = (n / 32).max(1);
-    let mut b = MealyBuilder::new();
-    let states: Vec<_> = (0..n).map(|i| b.add_state(format!("s{i}"))).collect();
-    let inputs: Vec<_> = ["a", "b", "c"].iter().map(|&l| b.add_input(l)).collect();
-    let dull = b.add_output("dull");
-    let beacon = b.add_output("beacon");
-    for s in 0..n {
-        for (i, &inp) in inputs.iter().enumerate() {
-            let next = (mix((s * inputs.len() + i + 1) as u64) % n as u64) as usize;
-            let out = if next.is_multiple_of(beacon_period) {
-                beacon
-            } else {
-                dull
-            };
-            b.add_transition(states[s], inp, states[next], out);
-        }
-    }
-    b.build(states[0]).expect("scatter machine is well-formed")
-}
-
-/// Transfer faults drawn only from transitions the test set actually
-/// exercises, so (unlike blind sampling over the whole fault space)
-/// every fault is excited and triggers a divergence replay. Benches
-/// that price the replay path use this to keep replays — not fault
-/// classification — the dominant cost in both engines. The wrong
-/// successor is hash-derived from the faulted state, deterministic for
-/// a given machine, test set and seed.
-pub fn excited_transfer_faults(
-    m: &ExplicitMealy,
-    tests: &simcov_tour::TestSet,
-    count: usize,
-    seed: u64,
-) -> Vec<simcov_core::Fault> {
-    use simcov_fsm::StateId;
-    let n = m.num_states() as u32;
-    let mut seen = std::collections::HashSet::new();
-    let mut pairs = Vec::new();
-    for seq in &tests.sequences {
-        let mut cur = m.reset();
-        for &i in seq {
-            if seen.insert((cur, i)) {
-                pairs.push((cur, i));
-            }
-            let Some((next, _)) = m.step(cur, i) else {
-                break;
-            };
-            cur = next;
-        }
-    }
-    let mut rng = simcov_prng::Xoshiro256pp::seed_from_u64(seed);
-    rng.shuffle(&mut pairs);
-    pairs.truncate(count);
-    pairs
-        .into_iter()
-        .map(|(s, i)| {
-            let golden = m.step(s, i).expect("pair was walked above").0;
-            let mut t = (s.0 ^ 0x9e37_79b9) % n;
-            if t == golden.0 {
-                t = (t + 1) % n;
-            }
-            simcov_core::Fault {
-                state: s,
-                input: i,
-                kind: simcov_core::FaultKind::Transfer {
-                    new_next: StateId(t),
-                },
-            }
-        })
-        .collect()
-}
-
 /// A strongly connected two-input ring with a *wide* output alphabet —
 /// the collapse-rich workload for static fault collapsing. Output-fault
 /// enumeration produces `outputs - 1` wrong labels per `(state, input)`
@@ -181,17 +88,6 @@ mod tests {
         let r = ring_with_chords(10);
         assert_eq!(r.num_states(), 10);
         assert!(r.is_strongly_connected());
-        let s = scatter_machine(512);
-        assert_eq!(s.num_states(), 512);
-        assert!(s.is_complete());
-        assert_eq!(s.num_outputs(), 2);
-        // Determinism: the same size builds the same machine.
-        let s2 = scatter_machine(512);
-        for st in s.states() {
-            for i in s.inputs() {
-                assert_eq!(s.step(st, i), s2.step(st, i));
-            }
-        }
         let m = reduced_dlx_machine();
         assert!(m.is_complete());
         let h = reduced_dlx_machine_hidden();

@@ -155,8 +155,13 @@ impl ObsOpts {
     }
 }
 
-/// The usage text.
-pub const USAGE: &str = "\
+/// The usage text, with the engine names filled in from
+/// [`Engine::names`].
+pub fn usage() -> String {
+    USAGE_TEMPLATE.replace("{ENGINES}", &Engine::names())
+}
+
+const USAGE_TEMPLATE: &str = "\
 simcov — validation methodology using simulation coverage (DAC'97)
 
 USAGE:
@@ -164,7 +169,7 @@ USAGE:
   simcov tour <model.blif> [--greedy | --state] [--trace-out <FILE>] [--metrics]
   simcov distinguish <model.blif> --k <K> [--all-pairs]
   simcov campaign <model.blif> [--max-faults <N>] [--seed <S>] [--k <K>] [--jobs <J>]
-                  [--engine naive|differential|packed|symbolic]
+                  [--engine {ENGINES}]
                   [--collapse off|on|verify]
                   [--deadline <MS>] [--max-steps <N>] [--max-retries <R>]
                   [--checkpoint <FILE>] [--resume]
@@ -182,7 +187,7 @@ USAGE:
   simcov analyze --dlx <name> [same options]
   simcov close <model.blif> [--max-faults <N>] [--seed <S>] [--rounds <R>]
                [--budget <STEPS>] [--jobs <J>]
-               [--engine naive|differential|packed|symbolic] [--collapse off|on]
+               [--engine {ENGINES}] [--collapse off|on]
                [--format text|json] [--trace-out <FILE>] [--metrics]
   simcov close --dlx <name> [same options]
   simcov serve [--addr <HOST:PORT>] [--workers <N>] [--queue <N>] [--cache <N>]
@@ -196,12 +201,11 @@ OPTIONS:
                 all available cores); results are identical for every J
   --engine <E>  fault-simulation engine: differential (default; shares
                 the memoized golden trace and replays only divergent
-                suffixes), packed (the differential replays batched 64
-                faults per machine word, lane-parallel), symbolic
-                (shards walked as BDD relations over a fault-id space;
-                on models too wide to enumerate, an implicit fault-
-                family campaign) or naive (clone-and-replay oracle);
-                reports are bit-identical for every engine
+                suffixes), symbolic (shards walked as BDD relations over
+                a fault-id space; on models too wide to enumerate, an
+                implicit fault-family campaign) or naive (clone-and-
+                replay oracle); reports are bit-identical for every
+                engine
   --collapse <M>
                 static fault collapsing: off (default) simulates every
                 fault; on simulates one representative per equivalence
@@ -255,7 +259,7 @@ OPTIONS:
   --audit-sample <N>
                 serve: faults sampled per engine-equivalence audit; an
                 engine that disagrees with the naive oracle on the
-                sample is degraded packed → differential → naive
+                sample is degraded symbolic → differential → naive
                 (0 disables auditing; default 8)
   --journal <FILE>
                 serve: crash-safe server journal; admitted jobs are
@@ -809,7 +813,7 @@ fn parse_num<T: std::str::FromStr>(value: Option<&str>, name: &str) -> Result<Op
 pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
     let mut it = args.iter();
     let Some(cmd) = it.next() else {
-        return Err(CliError::usage(USAGE));
+        return Err(CliError::usage(usage()));
     };
     let rest: Vec<&String> = it.collect();
     let flag_value = |name: &str| -> Option<&str> {
@@ -844,7 +848,8 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
             }
         }
         Err(CliError::usage(format!(
-            "`{cmd}` needs a model path\n\n{USAGE}"
+            "`{cmd}` needs a model path\n\n{}",
+            usage()
         )))
     };
     match cmd.as_str() {
@@ -868,7 +873,8 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                     LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
                         || {
                             CliError::usage(format!(
-                                "`lint` needs a model path or --dlx\n\n{USAGE}"
+                                "`lint` needs a model path or --dlx\n\n{}",
+                                usage()
                             ))
                         },
                     )?)
@@ -904,7 +910,8 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                     LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
                         || {
                             CliError::usage(format!(
-                                "`analyze` needs a model path or --dlx\n\n{USAGE}"
+                                "`analyze` needs a model path or --dlx\n\n{}",
+                                usage()
                             ))
                         },
                     )?)
@@ -947,15 +954,7 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                 resume: rest.iter().any(|a| a.as_str() == "--resume"),
                 engine: match flag_value("--engine") {
                     None => defaults.engine,
-                    Some("naive") => Engine::Naive,
-                    Some("differential") => Engine::Differential,
-                    Some("packed") => Engine::Packed,
-                    Some("symbolic") => Engine::Symbolic,
-                    Some(other) => {
-                        return Err(CliError::usage(format!(
-                            "unknown engine `{other}` (naive|differential|packed|symbolic)"
-                        )))
-                    }
+                    Some(name) => name.parse().map_err(CliError::usage)?,
                 },
                 collapse: match flag_value("--collapse") {
                     None => defaults.collapse,
@@ -982,7 +981,8 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                     LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
                         || {
                             CliError::usage(format!(
-                                "`campaign` needs a model path or --dlx\n\n{USAGE}"
+                                "`campaign` needs a model path or --dlx\n\n{}",
+                                usage()
                             ))
                         },
                     )?)
@@ -1002,15 +1002,7 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                 jobs: parse_num(flag_value("--jobs"), "--jobs")?.unwrap_or(defaults.jobs),
                 engine: match flag_value("--engine") {
                     None => defaults.engine,
-                    Some("naive") => Engine::Naive,
-                    Some("differential") => Engine::Differential,
-                    Some("packed") => Engine::Packed,
-                    Some("symbolic") => Engine::Symbolic,
-                    Some(other) => {
-                        return Err(CliError::usage(format!(
-                            "unknown engine `{other}` (naive|differential|packed|symbolic)"
-                        )))
-                    }
+                    Some(name) => name.parse().map_err(CliError::usage)?,
                 },
                 // Rounds either simulate every fault or one representative
                 // per collapse class; there is no `verify` mode because the
@@ -1044,7 +1036,8 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                     LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
                         || {
                             CliError::usage(format!(
-                                "`close` needs a model path or --dlx\n\n{USAGE}"
+                                "`close` needs a model path or --dlx\n\n{}",
+                                usage()
                             ))
                         },
                     )?)
@@ -1126,7 +1119,8 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                 [addr, file] => (addr, file),
                 _ => {
                     return Err(CliError::usage(format!(
-                        "`submit` needs <addr> and <jobs.jsonl>\n\n{USAGE}"
+                        "`submit` needs <addr> and <jobs.jsonl>\n\n{}",
+                        usage()
                     )))
                 }
             };
@@ -1148,9 +1142,10 @@ pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
                 .ok_or_else(|| CliError::usage("dlx needs a model name"))?;
             cmd_dlx(which)
         }
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
+        "help" | "--help" | "-h" => Ok(usage()),
         other => Err(CliError::usage(format!(
-            "unknown command `{other}`\n\n{USAGE}"
+            "unknown command `{other}`\n\n{}",
+            usage()
         ))),
     }
     .map(CmdOutput::from)
@@ -1218,6 +1213,13 @@ mod tests {
         let out = run(&args(&["help"])).unwrap();
         assert!(out.text.contains("simcov stats"));
         assert!(out.text.contains("simcov lint"));
+        assert_eq!(
+            out.text
+                .matches("[--engine naive|differential|symbolic]")
+                .count(),
+            2,
+            "campaign and close list the engine names"
+        );
         assert_eq!(out.code, 0);
     }
 
@@ -1604,31 +1606,35 @@ mod tests {
             run(&args(&argv)).unwrap()
         };
         let naive = with_engine("naive");
-        let differential = with_engine("differential");
-        let packed = with_engine("packed");
         assert!(naive.text.contains("engine: naive"), "{}", naive.text);
-        assert!(
-            differential.text.contains("engine: differential"),
-            "{}",
-            differential.text
-        );
-        assert!(packed.text.contains("engine: packed"), "{}", packed.text);
-        assert_eq!(
-            campaign_lines(&naive.text),
-            campaign_lines(&differential.text),
-            "reports must be engine-independent"
-        );
-        assert_eq!(
-            campaign_lines(&naive.text),
-            campaign_lines(&packed.text),
-            "packed reports must match the scalar engines"
-        );
+        for engine in ["differential", "symbolic"] {
+            let other = with_engine(engine);
+            assert!(
+                other.text.contains(&format!("engine: {engine}")),
+                "{}",
+                other.text
+            );
+            assert_eq!(
+                campaign_lines(&naive.text),
+                campaign_lines(&other.text),
+                "{engine} reports must match the naive oracle"
+            );
+        }
         // Omitting the flag selects the differential default.
         let default = run(&args(base)).unwrap();
         assert!(default.text.contains("engine: differential"));
-        let err = run(&args(&["campaign", tmp.as_str(), "--engine", "magic"])).unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("unknown engine"));
+        // Unknown and retired engine names are usage errors on both
+        // subcommands that take the flag.
+        for cmd in ["campaign", "close"] {
+            for name in ["magic", "packed"] {
+                let err = run(&args(&[cmd, tmp.as_str(), "--engine", name])).unwrap_err();
+                assert_eq!(err.code, 2, "{cmd} --engine {name}");
+                assert_eq!(
+                    err.message,
+                    format!("unknown engine `{name}` (naive|differential|symbolic)")
+                );
+            }
+        }
     }
 
     #[test]

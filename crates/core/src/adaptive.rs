@@ -33,7 +33,7 @@
 //! * each round's stimulus depends only on the surviving-fault set, the
 //!   cold-cell set and a seed derived from `(config.seed, round)` — and
 //!   both sets are themselves deterministic because the inner
-//!   [`FaultCampaign`] is bit-identical across thread counts;
+//!   [`ResilientCampaign`] is bit-identical across thread counts;
 //! * per-round records, `adaptive.round` trace events and `adaptive.*`
 //!   counters are all emitted by this serial driver after the campaign's
 //!   shard merge, never from worker threads.
@@ -62,7 +62,9 @@ use crate::collapse::CollapseCertificate;
 use crate::differential::Engine;
 use crate::error_model::{is_detectable, Fault};
 use crate::faults::{CampaignReport, FaultOutcome};
-use crate::parallel::{CampaignStats, FaultCampaign};
+use crate::parallel::CampaignStats;
+use crate::resilient::ResilientCampaign;
+use crate::symbolic::SymbolicContext;
 use simcov_fsm::{ExplicitMealy, InputSym, StateId};
 use simcov_obs::names::{
     ADAPTIVE_CLOSED, ADAPTIVE_COLD_CELLS, ADAPTIVE_NEW_DETECTIONS, ADAPTIVE_ROUNDS,
@@ -197,6 +199,7 @@ pub struct ClosureDriver<'a> {
     config: ClosureConfig,
     telemetry: Option<Telemetry>,
     collapse: Option<&'a CollapseCertificate>,
+    symbolic: Option<&'a SymbolicContext<'a>>,
 }
 
 impl<'a> ClosureDriver<'a> {
@@ -208,6 +211,7 @@ impl<'a> ClosureDriver<'a> {
             config,
             telemetry: None,
             collapse: None,
+            symbolic: None,
         }
     }
 
@@ -228,13 +232,25 @@ impl<'a> ClosureDriver<'a> {
         self
     }
 
+    /// Attaches the netlist bridge [`Engine::Symbolic`] simulates
+    /// through, validated against this driver's machine
+    /// ([`SymbolicContext::new`]). Ignored by the explicit engines;
+    /// [`run`](Self::run) panics if the symbolic engine is configured
+    /// without one.
+    pub fn symbolic(mut self, ctx: &'a SymbolicContext<'a>) -> Self {
+        self.symbolic = Some(ctx);
+        self
+    }
+
     /// Runs the feedback loop to closure or budget exhaustion.
     ///
     /// # Panics
     ///
     /// Panics if a supplied collapse certificate fails
     /// [`check`](CollapseCertificate::check) against the machine and
-    /// fault list.
+    /// fault list, or if a round's campaign comes back incomplete (a
+    /// shard panicked on every retry): merging a report with gaps would
+    /// silently misreport closure.
     pub fn run(&self) -> ClosureRun {
         let m = self.golden;
         let cfg = &self.config;
@@ -317,21 +333,13 @@ impl<'a> ClosureDriver<'a> {
 
             // Incremental campaign: surviving faults × new sequences.
             let pending_faults: Vec<Fault> = pending.iter().map(|&i| work[i]).collect();
-            let mut campaign = FaultCampaign::new(m, &pending_faults, &new_tests);
-            campaign = campaign.engine(cfg.engine);
-            if cfg.jobs > 0 {
-                campaign = campaign.jobs(cfg.jobs);
-            }
-            if let Some(tel) = &self.telemetry {
-                campaign = campaign.telemetry(tel.clone());
-            }
-            let run = campaign.run();
+            let report = self.campaign(&pending_faults, &new_tests);
 
             // Exact merge (see module docs): OR observation bits, offset
             // detection sequence indices by the accumulated count.
             let offset = tests.len();
             let mut new_detections = 0usize;
-            for (&slot, out) in pending.iter().zip(run.report.outcomes.iter()) {
+            for (&slot, out) in pending.iter().zip(report.outcomes.iter()) {
                 let acc = outcomes[slot].get_or_insert(FaultOutcome {
                     fault: out.fault,
                     detected: None,
@@ -409,16 +417,8 @@ impl<'a> ClosureDriver<'a> {
         // report bit-identical to a from-scratch campaign.
         if !undetectable.is_empty() && !tests.is_empty() {
             let pruned_faults: Vec<Fault> = undetectable.iter().map(|&i| work[i]).collect();
-            let mut campaign = FaultCampaign::new(m, &pruned_faults, &tests);
-            campaign = campaign.engine(cfg.engine);
-            if cfg.jobs > 0 {
-                campaign = campaign.jobs(cfg.jobs);
-            }
-            if let Some(tel) = &self.telemetry {
-                campaign = campaign.telemetry(tel.clone());
-            }
-            let run = campaign.run();
-            for (&slot, out) in undetectable.iter().zip(run.report.outcomes.iter()) {
+            let report = self.campaign(&pruned_faults, &tests);
+            for (&slot, out) in undetectable.iter().zip(report.outcomes.iter()) {
                 outcomes[slot] = Some(out.clone());
             }
         }
@@ -474,6 +474,32 @@ impl<'a> ClosureDriver<'a> {
             undetectable: undetectable.len(),
             total_steps,
         }
+    }
+
+    /// One inner campaign on the plain pipeline configuration. Every
+    /// caller zips the outcomes with its fault list, so an incomplete
+    /// run fails loudly here instead.
+    fn campaign(&self, faults: &[Fault], tests: &TestSet) -> CampaignReport {
+        let cfg = &self.config;
+        let mut campaign = ResilientCampaign::new(self.golden, faults, tests).engine(cfg.engine);
+        if cfg.jobs > 0 {
+            campaign = campaign.jobs(cfg.jobs);
+        }
+        if let Some(tel) = &self.telemetry {
+            campaign = campaign.telemetry(tel.clone());
+        }
+        if let Some(ctx) = self.symbolic {
+            campaign = campaign.symbolic(ctx);
+        }
+        let run = campaign
+            .run()
+            .expect("an unjournaled campaign without a certificate cannot fail");
+        assert!(
+            run.is_complete,
+            "closure campaign incomplete: {:?}",
+            run.failures
+        );
+        run.report
     }
 }
 
@@ -554,7 +580,7 @@ mod tests {
         let (m, _) = figure2();
         let faults = enumerate_single_faults(&m, &FaultSpace::default());
         let base = ClosureDriver::new(&m, &faults, ClosureConfig::default()).run();
-        for engine in [Engine::Naive, Engine::Differential, Engine::Packed] {
+        for engine in [Engine::Naive, Engine::Differential] {
             for jobs in [1, 2, 8] {
                 let cfg = ClosureConfig {
                     engine,

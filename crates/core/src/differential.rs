@@ -37,7 +37,7 @@
 
 use crate::error_model::{Fault, FaultKind};
 use crate::faults::FaultOutcome;
-use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, PackedMealy, StateId, LANES};
+use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, StateId};
 use simcov_tour::TestSet;
 
 /// Which fault-simulation engine a campaign runs.
@@ -53,13 +53,6 @@ pub enum Engine {
     /// bit-identical outcomes to [`Engine::Naive`].
     #[default]
     Differential,
-    /// Bit-parallel word packing over the differential engine's replay
-    /// structure ([`crate::packed::simulate_shard_packed`]): up to 64
-    /// effective transfer faults per shard share one lane-parallel suffix
-    /// replay over struct-of-arrays tables
-    /// ([`simcov_fsm::PackedMealy`]). Produces bit-identical outcomes to
-    /// both scalar engines.
-    Packed,
     /// Implicit fault enumeration over BDDs
     /// ([`crate::symbolic::simulate_shard_symbolic`]): each shard's faults
     /// become a cofactor cube of a shared fault-id variable space, the
@@ -71,15 +64,38 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Stable lower-case name (`naive` / `differential` / `packed` /
-    /// `symbolic`), used by the CLI `--engine` flag and its output.
+    /// Every engine, in the order usage text and error messages list
+    /// them. Together with [`name`](Self::name) this is the one table
+    /// of engine names the CLI and the wire protocol parse against.
+    pub const ALL: [Engine; 3] = [Engine::Naive, Engine::Differential, Engine::Symbolic];
+
+    /// Stable lower-case name (`naive` / `differential` / `symbolic`),
+    /// used by the CLI `--engine` flag, the wire protocol and reports.
     pub fn name(self) -> &'static str {
         match self {
             Engine::Naive => "naive",
             Engine::Differential => "differential",
-            Engine::Packed => "packed",
             Engine::Symbolic => "symbolic",
         }
+    }
+
+    /// Every accepted name joined by `|` (`naive|differential|symbolic`),
+    /// as usage text and parse errors print them.
+    pub fn names() -> String {
+        Engine::ALL.map(Engine::name).join("|")
+    }
+}
+
+impl std::str::FromStr for Engine {
+    type Err = String;
+
+    /// Parses an engine [`name`](Engine::name); the error names the
+    /// rejected value and lists the accepted ones.
+    fn from_str(s: &str) -> Result<Self, String> {
+        Engine::ALL
+            .into_iter()
+            .find(|e| e.name() == s)
+            .ok_or_else(|| format!("unknown engine `{s}` ({})", Engine::names()))
     }
 }
 
@@ -166,10 +182,7 @@ pub struct GoldenTrace {
 /// Builds the CSR excitation index by stable counting sort. `cells`
 /// holds the traversed cell of every golden step in ascending
 /// `(sequence, vector)` order; each sequence contributed exactly
-/// `outputs[si].len()` entries (one per emitted output). Both trace
-/// builders feed this one helper, which is what guarantees their
-/// indices are bit-identical: same flat record order in, same
-/// `(offsets, entries)` out.
+/// `outputs[si].len()` entries (one per emitted output).
 fn csr_index(
     ncells: usize,
     outputs: &[Vec<OutputSym>],
@@ -225,51 +238,6 @@ impl GoldenTrace {
             total_steps += out.len();
             states.push(st);
             outputs.push(out);
-        }
-        let (index_offsets, index_entries) = csr_index(golden.num_states() * ni, &outputs, &cells);
-        GoldenTrace {
-            states,
-            outputs,
-            index_offsets,
-            index_entries,
-            num_inputs: ni,
-            total_steps,
-        }
-    }
-
-    /// Builds the same trace as [`build`](Self::build) — bit-identical,
-    /// field for field — but walks up to [`LANES`]
-    /// sequences lane-parallel over the packed tables. The scalar build
-    /// is a serial pointer chase (each lookup depends on the previous
-    /// step's state); packing independent sequences keeps that many table
-    /// loads in flight at once, which is where the packed engine's
-    /// trace-construction speedup comes from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packed` was not built from `golden`.
-    pub fn build_packed(
-        golden: &ExplicitMealy,
-        packed: &PackedMealy,
-        tests: &TestSet,
-    ) -> GoldenTrace {
-        assert_eq!(packed.num_states(), golden.num_states());
-        assert_eq!(packed.num_inputs(), golden.num_inputs());
-        assert_eq!(packed.reset(), golden.reset());
-        let ni = golden.num_inputs();
-        let mut states = Vec::with_capacity(tests.sequences.len());
-        let mut outputs = Vec::with_capacity(tests.sequences.len());
-        let mut cells: Vec<u32> = Vec::new();
-        let mut total_steps = 0usize;
-        for chunk in tests.sequences.chunks(LANES) {
-            let refs: Vec<&[InputSym]> = chunk.iter().map(|s| s.as_slice()).collect();
-            let (st, out, lane_cells) = packed.walk_lanes(&refs);
-            for ((st, out), lane_cells) in st.into_iter().zip(out).zip(lane_cells) {
-                cells.extend_from_slice(&lane_cells);
-                total_steps += out.len();
-                states.push(st);
-                outputs.push(out);
-            }
         }
         let (index_offsets, index_entries) = csr_index(golden.num_states() * ni, &outputs, &cells);
         GoldenTrace {
@@ -675,42 +643,17 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_are_stable() {
+    fn engine_names_are_stable_and_parse_back() {
         assert_eq!(Engine::Naive.name(), "naive");
         assert_eq!(Engine::Differential.to_string(), "differential");
-        assert_eq!(Engine::Packed.name(), "packed");
         assert_eq!(Engine::default(), Engine::Differential);
-    }
-
-    #[test]
-    fn packed_trace_build_is_field_identical_to_scalar_build() {
-        // Scalar and lane-parallel construction must agree on every field
-        // — trajectories, outputs, the excitation index's entry order and
-        // the step total — including truncation on partial machines.
-        let (m, _) = figure2();
-        let a = m.input_by_label("a").unwrap();
-        let b = m.input_by_label("b").unwrap();
-        let c = m.input_by_label("c").unwrap();
-        let tour = transition_tour(&m).unwrap();
-        let sets = [
-            TestSet::single(extend_cyclically(&tour.inputs, 2)),
-            TestSet {
-                sequences: vec![vec![c, c], vec![], vec![a, a, c], vec![b, a, b, c, a]],
-            },
-            TestSet { sequences: vec![] },
-            // More sequences than LANES forces multiple chunks.
-            TestSet {
-                sequences: (0..150).map(|k| vec![[a, b, c][k % 3]; k % 7]).collect(),
-            },
-        ];
-        let packed = PackedMealy::from_explicit(&m);
-        for tests in &sets {
-            assert_eq!(
-                GoldenTrace::build_packed(&m, &packed, tests),
-                GoldenTrace::build(&m, tests),
-                "{} sequences",
-                tests.sequences.len()
-            );
+        assert_eq!(Engine::names(), "naive|differential|symbolic");
+        for e in Engine::ALL {
+            assert_eq!(e.name().parse::<Engine>(), Ok(e));
         }
+        assert_eq!(
+            "packed".parse::<Engine>(),
+            Err("unknown engine `packed` (naive|differential|symbolic)".to_string())
+        );
     }
 }

@@ -235,17 +235,22 @@ pub fn simulate_fault(golden: &ExplicitMealy, fault: &Fault, tests: &TestSet) ->
 /// Runs a fault campaign: every fault is injected in turn and the whole
 /// test set is simulated against the golden machine.
 ///
-/// Dispatches through the sharded worker pool of
-/// [`FaultCampaign`](crate::parallel::FaultCampaign) with an automatic
+/// Runs the plain configuration of the campaign pipeline,
+/// [`ResilientCampaign`](crate::ResilientCampaign), with an automatic
 /// job count; results are bit-identical to a serial run (see the module
-/// docs of [`crate::parallel`]). Use
-/// [`FaultCampaign`](crate::parallel::FaultCampaign) directly to control
-/// the worker count or to read the per-campaign counters and shard
-/// timings.
+/// docs of [`crate::parallel`]). Use the pipeline directly to control the
+/// worker count or the engine, or to read the per-campaign counters.
+///
+/// # Panics
+///
+/// Panics if a shard panics on every retry, rather than return a report
+/// with gaps.
 pub fn run_campaign(golden: &ExplicitMealy, faults: &[Fault], tests: &TestSet) -> CampaignReport {
-    crate::parallel::FaultCampaign::new(golden, faults, tests)
+    let run = crate::ResilientCampaign::new(golden, faults, tests)
         .run()
-        .report
+        .expect("an unjournaled campaign without a certificate cannot fail");
+    assert!(run.is_complete, "campaign incomplete: {:?}", run.failures);
+    run.report
 }
 
 /// Extends a tour cyclically by `k` vectors: a transition tour is a

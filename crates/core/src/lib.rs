@@ -24,16 +24,19 @@
 //! * [`faults`] — fault campaigns that *empirically* validate the
 //!   certificates: every injected fault must be caught by a transition
 //!   tour on a compliant model;
-//! * [`differential`] — the differential fault-simulation engine:
-//!   golden-trace memoization, excitation indexing and zero-clone suffix
-//!   replay, bit-identical to the naive engine but asymptotically
-//!   cheaper;
-//! * [`packed`] — the bit-parallel engine: the differential engine's
-//!   suffix replays advanced 64 lanes at a time over word-packed
-//!   struct-of-arrays tables, bit-identical to both scalar engines;
-//! * [`resilient`] — crash-safe campaign supervision: panic isolation,
-//!   deadlines/step budgets, durable checkpoint/resume and deterministic
-//!   chaos injection;
+//! * [`resilient`] — the one campaign pipeline, [`ResilientCampaign`]:
+//!   sharded, supervised simulation with panic isolation, deadlines/step
+//!   budgets, durable checkpoint/resume and deterministic chaos injection;
+//! * [`parallel`] — the pipeline's deterministic shard partition, its
+//!   worker pool ([`run_sharded`]) and its engine dispatch
+//!   ([`ShardSimulator`]) over three bit-identical engines:
+//!   * naive — clone-and-replay per fault ([`simulate_fault`]), the
+//!     oracle the others are checked against;
+//!   * [`differential`] — golden-trace memoization, excitation indexing
+//!     and zero-clone suffix replay, asymptotically cheaper;
+//!   * [`symbolic`] — whole shards walked as BDD relations over a
+//!     fault-id space, plus the implicit campaign for models too wide to
+//!     enumerate;
 //! * [`adaptive`] — coverage-directed closure: the iterative campaign
 //!   driver that feeds surviving faults and cold cells back into the
 //!   `simcov-tour` generators until every fault is detected or a budget
@@ -61,7 +64,6 @@ pub mod faults;
 pub mod fingerprint;
 pub mod harness;
 pub mod models;
-pub mod packed;
 pub mod parallel;
 pub mod requirements;
 pub mod resilient;
@@ -84,11 +86,7 @@ pub use faults::{
     CampaignReport, FaultOutcome, FaultSpace,
 };
 pub use harness::{validate, MachineTrace, Mismatch, TraceSource};
-pub use packed::{simulate_shard_packed, PackedStats, ReplayScript};
-pub use parallel::{
-    default_jobs, default_shard_size, run_sharded, CampaignRun, CampaignStats, FaultCampaign,
-    ShardTiming,
-};
+pub use parallel::{default_jobs, default_shard_size, run_sharded, CampaignStats, ShardSimulator};
 pub use requirements::{
     check_req1_uniform_outputs, check_req2_bounded_processing, check_req3_unique_outputs,
     check_req5_observable, Req1Violation, StallBound,

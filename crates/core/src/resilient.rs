@@ -1,12 +1,17 @@
-//! Crash-safe campaign supervision: panic isolation, deadlines, durable
-//! checkpoint/resume, and deterministic chaos injection.
+//! The campaign pipeline: sharded, supervised fault simulation with panic
+//! isolation, deadlines, durable checkpoint/resume, and deterministic
+//! chaos injection.
 //!
-//! At production scale a fault campaign runs for hours across millions of
-//! injected faults, and the plain [`FaultCampaign`](crate::FaultCampaign)
-//! engine has an all-or-nothing failure mode: one panicking shard (or a
-//! `SIGKILL`ed process) throws the whole run away. [`ResilientCampaign`]
-//! layers four guarantees over the same sharded execution model, without
-//! giving up bit-identical determinism:
+//! [`ResilientCampaign`] is the one way this crate runs a fault campaign.
+//! Its plain configuration — no deadline, no step budget, no checkpoint —
+//! is the ordinary campaign every caller uses; the closure loop and
+//! [`run_campaign`](crate::run_campaign) included. Shards are scheduled by
+//! [`run_sharded`] and simulated by the [`ShardSimulator`] the campaign's
+//! [`Engine`] resolves to. At production scale a campaign runs for hours
+//! across millions of injected faults, where an all-or-nothing failure
+//! mode — one panicking shard or a `SIGKILL`ed process throwing the
+//! whole run away — is not acceptable, so the pipeline gives four
+//! guarantees without giving up bit-identical determinism:
 //!
 //! 1. **Panic isolation** — each shard runs under
 //!    [`std::panic::catch_unwind`]. A panicking shard is retried up to a
@@ -54,20 +59,21 @@
 //! fault-by-fault against the expected fault list on load.
 
 use crate::collapse::{CollapseCertificate, CollapseMode, CollapseSummary};
-use crate::differential::{simulate_fault_differential, DiffStats, Engine, GoldenTrace};
+use crate::differential::{DiffStats, Engine, GoldenTrace};
 use crate::error_model::{Fault, FaultKind};
-use crate::faults::{simulate_fault, CampaignReport, FaultOutcome};
-use crate::packed::{simulate_shard_packed, PackedStats, ReplayScript};
-use crate::parallel::{default_jobs, default_shard_size, CampaignStats};
-use crate::symbolic::{simulate_shard_symbolic, SymbolicContext, SymbolicEngineStats};
-use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, PackedMealy, StateId};
+use crate::faults::{CampaignReport, FaultOutcome};
+use crate::parallel::{
+    default_jobs, default_shard_size, run_sharded, CampaignStats, ShardSimulator,
+};
+use crate::symbolic::{SymbolicContext, SymbolicEngineStats};
+use simcov_fsm::{ExplicitMealy, InputSym, OutputSym, StateId};
 use simcov_obs::Telemetry;
 use simcov_tour::TestSet;
 use std::fmt;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -836,10 +842,10 @@ impl fmt::Display for CoverageBounds {
 /// and stats over completed shards, plus explicit degradation accounting.
 ///
 /// When [`is_complete`](Self::is_complete) is `true`, `report` and
-/// `stats` are byte-identical to what the plain
-/// [`FaultCampaign`](crate::FaultCampaign) produces with the same shard
-/// size — regardless of how many shards came from the checkpoint journal
-/// versus fresh simulation, and regardless of thread count.
+/// `stats` are byte-identical to an uninterrupted, unjournaled run with
+/// the same shard size — regardless of how many shards came from the
+/// checkpoint journal versus fresh simulation, and regardless of thread
+/// count and engine.
 #[derive(Debug)]
 pub struct ResilientRun {
     /// Outcomes of completed shards, concatenated in shard order (gaps
@@ -878,9 +884,6 @@ pub struct ResilientRun {
     /// across thread counts, but — unlike `report`/`stats` — *not*
     /// invariant under checkpoint/resume splits.
     pub diff: DiffStats,
-    /// Word-packing effort counters over freshly simulated shards (zero
-    /// unless the run used [`Engine::Packed`]); same caveats as `diff`.
-    pub packed: PackedStats,
     /// BDD-package effort counters over freshly simulated shards (zero
     /// unless the run used [`Engine::Symbolic`]); same caveats as `diff`.
     pub sym: SymbolicEngineStats,
@@ -894,7 +897,6 @@ enum ShardState {
         Vec<FaultOutcome>,
         CampaignStats,
         DiffStats,
-        PackedStats,
         SymbolicEngineStats,
     ),
     Poisoned {
@@ -904,8 +906,9 @@ enum ShardState {
     Cancelled,
 }
 
-/// A supervised fault campaign over the sharded parallel engine. See the
-/// [module docs](self) for the failure model.
+/// A fault campaign: the golden machine, the fault list, the test set,
+/// the engine and the execution knobs, run on the sharded, supervised
+/// pipeline. See the [module docs](self) for the failure model.
 ///
 /// ```
 /// use simcov_core::{enumerate_single_faults, FaultSpace, ResilientCampaign};
@@ -966,19 +969,21 @@ impl<'a> ResilientCampaign<'a> {
         }
     }
 
-    /// Attaches the netlist bridge required by [`Engine::Symbolic`], as
-    /// for [`FaultCampaign::symbolic`](crate::FaultCampaign::symbolic).
-    /// [`run`](Self::run) panics if [`Engine::Symbolic`] is selected
-    /// without one.
+    /// Attaches the netlist bridge required by [`Engine::Symbolic`]:
+    /// `ctx` must have been validated against this campaign's golden
+    /// machine ([`SymbolicContext::new`]). Ignored by the explicit
+    /// engines; [`run`](Self::run) panics if [`Engine::Symbolic`] is
+    /// selected without one.
     pub fn symbolic(mut self, ctx: &'a SymbolicContext<'a>) -> Self {
         self.symbolic = Some(ctx);
         self
     }
 
-    /// Attaches a [`CollapseCertificate`], as for
-    /// [`FaultCampaign::collapse`](crate::FaultCampaign::collapse).
+    /// Attaches a [`CollapseCertificate`]. [`CollapseMode::Off`] ignores
+    /// it entirely.
     ///
-    /// Under [`CollapseMode::On`] the supervisor runs over the *pruned*
+    /// Under [`CollapseMode::On`] the supervisor simulates only one
+    /// representative per class: it runs over the *pruned*
     /// representative list — sharding, checkpoint journal, retries and
     /// cancellation all see pruned reality (and the journal fingerprint
     /// covers the pruned fault list, so collapsed and uncollapsed
@@ -990,34 +995,47 @@ impl<'a> ResilientCampaign<'a> {
     /// coverage bounds account for the rest. Telemetry counters and shard
     /// events describe the pruned work actually performed.
     ///
-    /// Under [`CollapseMode::Verify`] everything is simulated; the audit
-    /// runs only when the campaign completes (an incomplete report cannot
-    /// be audited — a journal note records the skip).
+    /// Under [`CollapseMode::Verify`] everything is simulated and every
+    /// class member is audited against its representative, reporting
+    /// divergences in [`CollapseSummary::violations`]; the audit runs
+    /// only when the campaign completes (an incomplete report cannot be
+    /// audited — a journal note records the skip).
+    ///
+    /// A certificate that does not bind this campaign's machine and fault
+    /// list makes [`run`](Self::run) fail with
+    /// [`CampaignError::Certificate`].
     pub fn collapse(mut self, cert: &'a CollapseCertificate, mode: CollapseMode) -> Self {
         self.collapse = Some((cert, mode));
         self
     }
 
-    /// Selects the fault-simulation engine, as for
-    /// [`FaultCampaign::engine`](crate::FaultCampaign::engine). Outcomes
-    /// and stats are bit-identical either way, so the engine is *not*
-    /// part of the journal fingerprint: a campaign checkpointed under one
-    /// engine resumes soundly under the other.
+    /// Selects the fault-simulation engine. The default
+    /// [`Engine::Differential`] memoizes one golden trace and classifies
+    /// faults against it; [`Engine::Naive`] clones and replays per fault;
+    /// [`Engine::Symbolic`] walks whole shards as BDD relations. All three
+    /// produce bit-identical [`CampaignReport`]s and [`CampaignStats`], so
+    /// the engine is *not* part of the journal fingerprint: a campaign
+    /// checkpointed under one engine resumes soundly under another.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
     }
 
-    /// Sets the worker count (`0` clamps to 1, as for
-    /// [`FaultCampaign::jobs`](crate::FaultCampaign::jobs)).
+    /// Sets the worker count. `0` is clamped to `1` (serial execution):
+    /// a zero-worker pool cannot make progress, and silently treating `0`
+    /// as "automatic" would make `jobs(0)` mean something different from
+    /// every other value. Use [`default_jobs`] explicitly for "all cores".
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
     }
 
-    /// Sets the shard size (`0` clamps to 1). Must match between the
-    /// interrupted and the resuming run — it is part of the journal
-    /// fingerprint.
+    /// Sets the shard size. `0` is clamped to `1` (one fault per shard):
+    /// zero-sized chunks are meaningless. The shard partition is part of
+    /// the deterministic result surface (`stats.shards`) and of the
+    /// journal fingerprint, so it must match between the interrupted and
+    /// the resuming run; use [`default_shard_size`] for the automatic
+    /// partition.
     pub fn shard_size(mut self, shard_size: usize) -> Self {
         self.shard_size = shard_size.max(1);
         self
@@ -1070,13 +1088,14 @@ impl<'a> ResilientCampaign<'a> {
         self
     }
 
-    /// Attaches a telemetry sink. The run records the same `campaign`
-    /// span tree, counters and per-shard events as
-    /// [`FaultCampaign::telemetry`](crate::FaultCampaign::telemetry),
-    /// plus the supervisor's own counters: `campaign.shards_retried`
-    /// (panic retries), `campaign.shards_restored` (journal hits),
-    /// `campaign.shards_skipped`, `campaign.shards_poisoned` and
-    /// `campaign.checkpoint_bytes` (journal bytes written).
+    /// Attaches a telemetry sink. The run records a `campaign` span with
+    /// per-shard `campaign/shard` children, one `campaign.shard` event
+    /// per shard, the campaign counters (`campaign.faults_simulated`,
+    /// `campaign.faults_detected`, `campaign.shards` and friends), the
+    /// engine's effort counters, and the supervisor's own counters:
+    /// `campaign.shards_retried` (panic retries), `campaign.shards_restored`
+    /// (journal hits), `campaign.shards_skipped`, `campaign.shards_poisoned`
+    /// and `campaign.checkpoint_bytes` (journal bytes written).
     ///
     /// Events are emitted only from the serial shard-ordered merge loop,
     /// so the recorded event stream is byte-identical across thread
@@ -1090,9 +1109,7 @@ impl<'a> ResilientCampaign<'a> {
     /// for cross-request caches (`simcov serve` keys its cache by
     /// *(machine fingerprint, test-set fingerprint)*, which is exactly the
     /// contract here: the trace must have been built from this `golden`
-    /// and this test set). Safe across engines because
-    /// [`GoldenTrace::build`] and [`GoldenTrace::build_packed`] are
-    /// bit-identical field for field. Ignored under [`Engine::Naive`].
+    /// and this test set). Used only by [`Engine::Differential`].
     pub fn golden_trace(mut self, trace: Arc<GoldenTrace>) -> Self {
         self.shared_trace = Some(trace);
         self
@@ -1247,13 +1264,15 @@ impl<'a> ResilientCampaign<'a> {
         let t0 = Instant::now();
         let shards: Vec<&[Fault]> = sim_faults.chunks(self.shard_size).collect();
         let nshards = shards.len();
-        let fp = fingerprint(self.golden, sim_faults, self.tests, self.shard_size);
 
         // Checkpoint setup: load restorable shards, then open for append.
         let mut restored: Vec<Option<RestoredShard>> = (0..nshards).map(|_| None).collect();
         let mut notes: Vec<String> = Vec::new();
         let mut journal: Option<JournalHandle> = match &self.checkpoint {
             Some(path) => {
+                // Only the journal reads the fingerprint, so unjournaled
+                // runs skip hashing the machine, faults and tests.
+                let fp = fingerprint(self.golden, sim_faults, self.tests, self.shard_size);
                 let writer = if self.resume && path.exists() {
                     let loaded = load_journal(
                         path,
@@ -1287,125 +1306,55 @@ impl<'a> ResilientCampaign<'a> {
         // workers (differential engine layer 1). Built after journal
         // restoration so a fully restored resume still pays it only once
         // — it costs no cancellation budget (no *fault* is simulated).
-        let tables =
-            (self.engine == Engine::Packed).then(|| PackedMealy::from_explicit(self.golden));
-        let trace: Option<Arc<GoldenTrace>> = match self.engine {
-            Engine::Naive | Engine::Symbolic => None,
-            engine => Some(match &self.shared_trace {
-                // A cache-provided trace (see `golden_trace`): the caller
-                // vouches it was built from this (machine, test set).
-                Some(shared) => Arc::clone(shared),
-                None => Arc::new(match engine {
-                    Engine::Differential => GoldenTrace::build(self.golden, self.tests),
-                    Engine::Packed => GoldenTrace::build_packed(
-                        self.golden,
-                        tables
-                            .as_ref()
-                            .expect("packed tables built for Engine::Packed"),
-                        self.tests,
-                    ),
-                    Engine::Naive | Engine::Symbolic => unreachable!("matched above"),
-                }),
-            }),
-        };
-        let trace_ref = trace.as_deref();
-        let tables_ref = tables.as_ref();
-        // The packed engine's replay lowering of the golden run, built
-        // once and shared read-only across workers like the trace.
-        let script = match (&trace, self.engine) {
-            (Some(trace), Engine::Packed) => Some(ReplayScript::build(trace, self.tests)),
-            _ => None,
-        };
-        let script_ref = script.as_ref();
-        let slots: Mutex<Vec<Option<ShardState>>> =
-            Mutex::new((0..nshards).map(|_| None).collect());
-        let notes_mx = Mutex::new(notes);
-        let restored_ref = &restored;
-        let shards_ref = &shards;
-        let journal_ref = &journal;
-        let slots_ref = &slots;
-        let notes_ref = &notes_mx;
-        let cancel_ref = &cancel;
-        let span_ref = &span;
+        let trace: Option<Arc<GoldenTrace>> = (self.engine == Engine::Differential).then(|| {
+            // A cache-provided trace (see `golden_trace`): the caller
+            // vouches it was built from this (machine, test set).
+            self.shared_trace
+                .clone()
+                .unwrap_or_else(|| Arc::new(GoldenTrace::build(self.golden, self.tests)))
+        });
+        let sim = ShardSimulator::new(
+            self.engine,
+            self.golden,
+            self.tests,
+            trace.as_deref(),
+            self.symbolic,
+        )
+        .expect("Engine::Symbolic requires ResilientCampaign::symbolic(ctx)");
 
-        let process = |i: usize| {
-            if restored_ref[i].is_some() {
-                return;
+        // Restored shards come back as `None`; every other shard yields
+        // its state plus a journal note when its record was not written.
+        let attempted = run_sharded(sim_faults, self.shard_size, self.jobs, |i, shard| {
+            if restored[i].is_some() {
+                return None;
             }
             // Span timing from workers is trace-safe (commutative
             // aggregation); events are confined to the merge loop below.
-            let _shard_span = span_ref.as_ref().map(|s| s.child("shard"));
-            let state = self.attempt_shard(
-                i,
-                shards_ref[i],
-                trace_ref,
-                tables_ref,
-                script_ref,
-                cancel_ref,
-                cost,
-            );
-            if let ShardState::Done(outcomes, stats, _, _, _) = &state {
-                if let Some(j) = journal_ref {
-                    #[cfg(feature = "chaos")]
-                    let drop_write = self
-                        .chaos
-                        .as_ref()
-                        .is_some_and(|p| p.should_fail_checkpoint(i));
-                    #[cfg(not(feature = "chaos"))]
-                    let drop_write = false;
-                    if drop_write {
-                        lock(notes_ref).push(format!(
-                            "journal: chaos-injected write failure for shard {i} (not journaled)"
-                        ));
-                    } else if let Err(e) = j.record(i, outcomes, stats) {
-                        lock(notes_ref).push(format!("journal: failed to record shard {i}: {e}"));
-                    }
+            let _shard_span = span.as_ref().map(|s| s.child("shard"));
+            let state = self.attempt_shard(i, shard, &sim, &cancel, cost);
+            let note = match (&state, &journal) {
+                (ShardState::Done(outcomes, stats, ..), Some(j)) => {
+                    self.journal_shard(j, i, outcomes, stats)
                 }
-            }
-            lock(slots_ref)[i] = Some(state);
-        };
-
-        let workers = self.jobs.min(nshards.max(1));
-        if workers <= 1 {
-            for i in 0..nshards {
-                process(i);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= nshards {
-                            break;
-                        }
-                        process(i);
-                    });
-                }
-            });
-        }
+                _ => None,
+            };
+            Some((state, note))
+        });
 
         // Durability barrier: close the channel and join the writer
         // thread — it drains every pending record and fsyncs the tail
         // batch before this run reports its shards as journaled.
-        if let Some(j) = &mut journal {
-            let writer_notes = j.finish();
-            if !writer_notes.is_empty() {
-                lock(&notes_mx).extend(writer_notes);
-            }
-        }
+        let writer_notes = journal.as_mut().map(JournalHandle::finish);
 
         // Merge in shard order: restored and fresh shards interleave into
         // exactly the partition a clean run produces.
         let mut outcomes = Vec::with_capacity(sim_faults.len());
         let mut stats = CampaignStats::default();
         let mut diff = DiffStats::default();
-        let mut packed = PackedStats::default();
         let mut sym = SymbolicEngineStats::default();
         let mut failures = Vec::new();
         let mut skipped = Vec::new();
         let mut restored_count = 0;
-        let mut slots = slots.into_inner().unwrap_or_else(|e| e.into_inner());
         // Events only here: serial, shard-ordered, thread-count blind.
         let shard_event = |st: &CampaignStats, i: usize, restored: bool| {
             if let Some(tel) = &self.telemetry {
@@ -1423,24 +1372,27 @@ impl<'a> ResilientCampaign<'a> {
                 );
             }
         };
-        for (i, restored_shard) in restored.into_iter().enumerate() {
-            if let Some((outs, st)) = restored_shard {
-                restored_count += 1;
-                shard_event(&st, i, true);
-                stats.merge(&st);
-                outcomes.extend(outs);
-                continue;
-            }
-            match slots[i].take() {
-                Some(ShardState::Done(outs, st, sd, sp, ss)) => {
+        for (i, (restored_shard, attempt)) in restored.into_iter().zip(attempted).enumerate() {
+            let (state, note) = match (restored_shard, attempt) {
+                (Some((outs, st)), _) => {
+                    restored_count += 1;
+                    shard_event(&st, i, true);
+                    stats.merge(&st);
+                    outcomes.extend(outs);
+                    continue;
+                }
+                (None, attempt) => attempt.expect("every unrestored shard is attempted"),
+            };
+            notes.extend(note);
+            match state {
+                ShardState::Done(outs, st, sd, ss) => {
                     shard_event(&st, i, false);
                     stats.merge(&st);
                     diff.merge(&sd);
-                    packed.merge(&sp);
                     sym.merge(&ss);
                     outcomes.extend(outs);
                 }
-                Some(ShardState::Poisoned { attempts, message }) => {
+                ShardState::Poisoned { attempts, message } => {
                     if let Some(tel) = &self.telemetry {
                         tel.event(
                             "campaign.shard_poisoned",
@@ -1458,7 +1410,7 @@ impl<'a> ResilientCampaign<'a> {
                         message,
                     });
                 }
-                Some(ShardState::Cancelled) | None => {
+                ShardState::Cancelled => {
                     if let Some(tel) = &self.telemetry {
                         tel.event(
                             "campaign.shard_skipped",
@@ -1469,6 +1421,7 @@ impl<'a> ResilientCampaign<'a> {
                 }
             }
         }
+        notes.extend(writer_notes.into_iter().flatten());
         let is_complete = failures.is_empty() && skipped.is_empty();
         if let Some(tel) = &self.telemetry {
             tel.counter_add("campaign.faults_simulated", stats.faults_simulated as u64);
@@ -1480,46 +1433,10 @@ impl<'a> ResilientCampaign<'a> {
             tel.counter_add("campaign.shards_restored", restored_count as u64);
             tel.counter_add("campaign.shards_skipped", skipped.len() as u64);
             tel.counter_add("campaign.shards_poisoned", failures.len() as u64);
-            // Differential-effort counters, merged serially in shard
-            // order from freshly simulated shards only (restored shards
-            // did no simulation this run). The packed engine shares the
-            // differential accounting and adds its word counters; the
-            // symbolic engine reports BDD-package effort instead.
-            if matches!(self.engine, Engine::Differential | Engine::Packed) {
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_FAULTS_SKIPPED_BY_INDEX,
-                    diff.faults_skipped_by_index as u64,
-                );
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_PREFIX_STEPS_SAVED,
-                    diff.prefix_steps_saved as u64,
-                );
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_DIVERGENCE_REPLAYS,
-                    diff.divergence_replays as u64,
-                );
-            }
-            if self.engine == Engine::Packed {
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_PACKED_WORDS,
-                    packed.packed_words as u64,
-                );
-                tel.counter_add(
-                    simcov_obs::names::CAMPAIGN_LANES_ACTIVE,
-                    packed.lanes_active as u64,
-                );
-            }
-            // Summed from freshly simulated shards in shard order;
-            // byte-identical across `--jobs` (see `simcov_obs::names`).
-            if self.engine == Engine::Symbolic {
-                tel.counter_add(simcov_obs::names::BDD_UNIQUE_NODES, sym.unique_nodes);
-                tel.counter_add(simcov_obs::names::BDD_ITE_CACHE_HITS, sym.ite_cache_hits);
-                tel.counter_add(
-                    simcov_obs::names::BDD_ITE_CACHE_MISSES,
-                    sym.ite_cache_misses,
-                );
-                tel.counter_add(simcov_obs::names::BDD_GC_COLLECTIONS, sym.gc_collections);
-            }
+            // Engine effort, merged serially in shard order from freshly
+            // simulated shards only (restored shards did no simulation
+            // this run).
+            sim.record_effort(tel, &diff, &sym);
         }
         drop(span);
         let detected_lo = stats.detected;
@@ -1532,7 +1449,7 @@ impl<'a> ResilientCampaign<'a> {
             skipped,
             stopped: cancel.reason(),
             restored_shards: restored_count,
-            journal_notes: notes_mx.into_inner().unwrap_or_else(|e| e.into_inner()),
+            journal_notes: notes,
             bounds: CoverageBounds {
                 detected_lo,
                 detected_hi: detected_lo + unsimulated,
@@ -1543,25 +1460,49 @@ impl<'a> ResilientCampaign<'a> {
             jobs: self.jobs,
             wall: t0.elapsed(),
             diff,
-            packed,
             sym,
             collapse: None,
         })
     }
 
+    /// Hands a completed shard to the journal writer; returns a note when
+    /// the record is not written.
+    fn journal_shard(
+        &self,
+        journal: &JournalHandle,
+        shard: usize,
+        outcomes: &[FaultOutcome],
+        stats: &CampaignStats,
+    ) -> Option<String> {
+        #[cfg(feature = "chaos")]
+        if self
+            .chaos
+            .as_ref()
+            .is_some_and(|p| p.should_fail_checkpoint(shard))
+        {
+            return Some(format!(
+                "journal: chaos-injected write failure for shard {shard} (not journaled)"
+            ));
+        }
+        journal
+            .record(shard, outcomes, stats)
+            .err()
+            .map(|e| format!("journal: failed to record shard {shard}: {e}"))
+    }
+
     /// Attempts one shard with panic isolation and the retry budget.
-    /// `trace` is the shared golden memo (`Some` unless the engine is
-    /// naive); `tables` the shared packed transition tables (`Some` iff
-    /// the engine is packed).
+    /// Every fault is charged its full cost against the cancellation
+    /// budget before it is simulated, under every engine, so budgets
+    /// admit the same prefix of faults whatever the engine and
+    /// truncation points (and resumes from them) stay deterministic. A
+    /// refusal anywhere in the shard cancels the whole shard: partial
+    /// shards are never reported or journaled.
     #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
-    #[allow(clippy::too_many_arguments)] // one optional shared lowering per engine
     fn attempt_shard(
         &self,
         shard_idx: usize,
         shard: &[Fault],
-        trace: Option<&GoldenTrace>,
-        tables: Option<&PackedMealy>,
-        script: Option<&ReplayScript>,
+        sim: &ShardSimulator<'_>,
         cancel: &Cancel,
         cost: u64,
     ) -> ShardState {
@@ -1580,86 +1521,15 @@ impl<'a> ResilientCampaign<'a> {
                         ));
                     }
                 }
-                let mut shard_diff = DiffStats::default();
-                let mut shard_packed = PackedStats::default();
-                let mut shard_sym = SymbolicEngineStats::default();
-                if self.engine == Engine::Symbolic {
-                    // Symbolic engine: like the packed engine the walk is
-                    // shard-at-a-time, so charge the whole shard's budget
-                    // up front with the same per-fault deductions as the
-                    // scalar loop (partial shards are never reported).
-                    for _ in shard {
-                        if !cancel.charge(cost) {
-                            return None;
-                        }
-                    }
-                    let ctx = self
-                        .symbolic
-                        .expect("Engine::Symbolic requires ResilientCampaign::symbolic(ctx)");
-                    let outcomes = simulate_shard_symbolic(
-                        ctx,
-                        self.golden,
-                        shard,
-                        self.tests,
-                        &mut shard_sym,
-                    );
-                    return Some((outcomes, shard_diff, shard_packed, shard_sym));
-                }
-                if let Some(tables) = tables {
-                    // Packed engine: the word replay is shard-at-a-time,
-                    // so charge the whole shard's budget up front — the
-                    // same per-fault deductions, in the same fault order,
-                    // as the scalar loop below, so budgets admit work at
-                    // identical points under every engine. A mid-shard
-                    // refusal cancels the whole shard, exactly like a
-                    // mid-shard refusal in the scalar loop (partial
-                    // shards are never reported or journaled).
-                    for _ in shard {
-                        if !cancel.charge(cost) {
-                            return None;
-                        }
-                    }
-                    let trace = trace.expect("packed engine always builds a trace");
-                    let script = script.expect("packed engine always builds a script");
-                    let outcomes = simulate_shard_packed(
-                        self.golden,
-                        tables,
-                        trace,
-                        script,
-                        shard,
-                        self.tests,
-                        &mut shard_diff,
-                        &mut shard_packed,
-                    );
-                    return Some((outcomes, shard_diff, shard_packed, shard_sym));
-                }
-                let mut outcomes = Vec::with_capacity(shard.len());
-                for f in shard {
-                    // Cancellation charges the full per-fault cost before
-                    // simulating regardless of engine: budgets must admit
-                    // the same prefix of faults under either engine so
-                    // truncation points (and resumes from them) stay
-                    // deterministic and engine-independent.
-                    if !cancel.charge(cost) {
-                        return None;
-                    }
-                    outcomes.push(match trace {
-                        Some(trace) => simulate_fault_differential(
-                            self.golden,
-                            trace,
-                            f,
-                            self.tests,
-                            &mut shard_diff,
-                        ),
-                        None => simulate_fault(self.golden, f, self.tests),
-                    });
-                }
-                Some((outcomes, shard_diff, shard_packed, shard_sym))
+                let mut diff = DiffStats::default();
+                let mut sym = SymbolicEngineStats::default();
+                let outcomes = sim.simulate(shard, || cancel.charge(cost), &mut diff, &mut sym)?;
+                Some((outcomes, diff, sym))
             }));
             match result {
-                Ok(Some((outcomes, shard_diff, shard_packed, shard_sym))) => {
+                Ok(Some((outcomes, diff, sym))) => {
                     let stats = CampaignStats::tally(&outcomes);
-                    return ShardState::Done(outcomes, stats, shard_diff, shard_packed, shard_sym);
+                    return ShardState::Done(outcomes, stats, diff, sym);
                 }
                 Ok(None) => return ShardState::Cancelled,
                 Err(payload) => {
@@ -1682,12 +1552,6 @@ impl<'a> ResilientCampaign<'a> {
     }
 }
 
-/// Locks a mutex, recovering the data even if a holder panicked (the
-/// supervisor must keep going exactly when other code is failing).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<String>()
@@ -1699,8 +1563,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::simulate_fault;
     use crate::faults::{enumerate_single_faults, extend_cyclically, FaultSpace};
-    use crate::parallel::FaultCampaign;
     use crate::testutil::figure2;
     use simcov_tour::transition_tour;
 
@@ -1716,6 +1580,23 @@ mod tests {
         let tour = transition_tour(&m).unwrap();
         let tests = TestSet::single(extend_cyclically(&tour.inputs, 3));
         (m, faults, tests)
+    }
+
+    /// An unjournaled, unbounded serial run: the reference every
+    /// supervised variant must reproduce.
+    fn clean_run(
+        m: &ExplicitMealy,
+        faults: &[Fault],
+        tests: &TestSet,
+        shard_size: usize,
+    ) -> ResilientRun {
+        let run = ResilientCampaign::new(m, faults, tests)
+            .jobs(1)
+            .shard_size(shard_size)
+            .run()
+            .unwrap();
+        assert!(run.is_complete);
+        run
     }
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -1736,19 +1617,58 @@ mod tests {
     }
 
     #[test]
-    fn complete_run_matches_plain_campaign() {
+    fn complete_run_matches_serial_simulation_at_any_job_count() {
         let (m, faults, tests) = fixture();
+        let serial = CampaignReport {
+            outcomes: faults
+                .iter()
+                .map(|f| simulate_fault(&m, f, &tests))
+                .collect(),
+        };
         for jobs in [1, 2, 8] {
-            let plain = FaultCampaign::new(&m, &faults, &tests).jobs(jobs).run();
-            let resilient = ResilientCampaign::new(&m, &faults, &tests)
+            let run = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(jobs)
                 .run()
                 .unwrap();
-            assert!(resilient.is_complete);
-            assert_eq!(resilient.stopped, None);
-            assert_eq!(resilient.stats, plain.stats, "jobs={jobs}");
-            assert_eq!(resilient.report, plain.report, "jobs={jobs}");
-            assert_eq!(resilient.bounds.detected_lo, resilient.bounds.detected_hi);
+            assert!(run.is_complete);
+            assert_eq!(run.stopped, None);
+            assert_eq!(run.report, serial, "jobs={jobs}");
+            assert_eq!(run.stats.faults_simulated, faults.len());
+            assert_eq!(run.stats.detected, serial.num_detected());
+            assert_eq!(run.stats.excited, serial.num_excited());
+            assert_eq!(run.stats.escapes, serial.escapes().count());
+            assert_eq!(run.bounds.detected_lo, run.bounds.detected_hi);
+        }
+    }
+
+    #[test]
+    fn jobs_zero_clamps_to_serial() {
+        let (m, faults, tests) = fixture();
+        let zero = ResilientCampaign::new(&m, &faults, &tests)
+            .jobs(0)
+            .run()
+            .unwrap();
+        let one = clean_run(&m, &faults, &tests, default_shard_size(faults.len()));
+        assert_eq!(zero.jobs, 1, "jobs(0) must clamp to serial execution");
+        assert_eq!(zero.stats, one.stats);
+        assert_eq!(zero.report, one.report);
+    }
+
+    #[test]
+    fn shard_size_sets_the_partition_and_zero_clamps_to_one() {
+        let (m, faults, tests) = fixture();
+        let baseline = clean_run(&m, &faults, &tests, default_shard_size(faults.len()));
+        for (size, shards) in [(10, faults.len().div_ceil(10)), (0, faults.len())] {
+            let run = ResilientCampaign::new(&m, &faults, &tests)
+                .jobs(2)
+                .shard_size(size)
+                .run()
+                .unwrap();
+            // Size 0 clamps to 1: exactly one shard per fault. Either way
+            // the outcomes match the default partition's.
+            assert_eq!(run.stats.shards, shards, "shard_size({size})");
+            assert_eq!(run.total_shards, shards, "shard_size({size})");
+            assert_eq!(run.report, baseline.report, "shard_size({size})");
         }
     }
 
@@ -1819,49 +1739,86 @@ mod tests {
     #[test]
     fn telemetry_counters_reconcile_and_trace_is_thread_count_blind() {
         let (m, faults, tests) = fixture();
-        let traces: Vec<String> = [1usize, 2, 8]
-            .iter()
-            .map(|&jobs| {
-                let path = temp_path(&format!("tel{jobs}"));
-                let _c = Cleanup(path.clone());
-                let tel = Telemetry::new();
-                let run = ResilientCampaign::new(&m, &faults, &tests)
-                    .jobs(jobs)
-                    .shard_size(5)
-                    .checkpoint(&path)
-                    .telemetry(tel.clone())
-                    .run()
-                    .unwrap();
-                assert!(run.is_complete);
-                let snap = tel.snapshot();
-                assert_eq!(
-                    snap.counter("campaign.faults_simulated"),
-                    Some(run.stats.faults_simulated as u64)
-                );
-                assert_eq!(
-                    snap.counter("campaign.faults_detected"),
-                    Some(run.stats.detected as u64)
-                );
-                assert_eq!(
-                    snap.counter("campaign.checkpoint_bytes"),
-                    Some(
-                        std::fs::metadata(&path).unwrap().len() - {
-                            // Header lines precede the first shard record.
-                            let text = std::fs::read_to_string(&path).unwrap();
-                            text.lines()
-                                .take(2)
-                                .map(|l| l.len() as u64 + 1)
-                                .sum::<u64>()
-                        }
-                    ),
-                    "checkpoint_bytes covers exactly the shard records"
-                );
-                assert_eq!(snap.events.len(), run.total_shards);
-                snap.to_jsonl()
-            })
-            .collect();
-        assert_eq!(traces[0], traces[1]);
-        assert_eq!(traces[0], traces[2]);
+        for journaled in [false, true] {
+            let traces: Vec<String> = [1usize, 2, 8]
+                .iter()
+                .map(|&jobs| {
+                    let path = temp_path(&format!("tel{jobs}"));
+                    let _c = Cleanup(path.clone());
+                    let tel = Telemetry::new();
+                    let mut campaign = ResilientCampaign::new(&m, &faults, &tests)
+                        .jobs(jobs)
+                        .shard_size(5)
+                        .telemetry(tel.clone());
+                    if journaled {
+                        campaign = campaign.checkpoint(&path);
+                    }
+                    let run = campaign.run().unwrap();
+                    assert!(run.is_complete);
+                    let snap = tel.snapshot();
+                    assert_eq!(
+                        snap.counter("campaign.faults_simulated"),
+                        Some(run.stats.faults_simulated as u64)
+                    );
+                    assert_eq!(
+                        snap.counter("campaign.faults_detected"),
+                        Some(run.stats.detected as u64)
+                    );
+                    assert_eq!(
+                        snap.counter("campaign.shards"),
+                        Some(run.stats.shards as u64)
+                    );
+                    let checkpoint_bytes = journaled.then(|| {
+                        // Header lines precede the first shard record.
+                        let text = std::fs::read_to_string(&path).unwrap();
+                        let header: usize = text.lines().take(2).map(|l| l.len() + 1).sum();
+                        (text.len() - header) as u64
+                    });
+                    assert_eq!(
+                        snap.counter("campaign.checkpoint_bytes"),
+                        checkpoint_bytes,
+                        "checkpoint_bytes covers exactly the shard records"
+                    );
+                    // One event per shard, in shard order.
+                    assert_eq!(snap.events.len(), run.total_shards);
+                    snap.to_jsonl()
+                })
+                .collect();
+            assert_eq!(traces[0], traces[1], "journaled={journaled}");
+            assert_eq!(traces[0], traces[2], "journaled={journaled}");
+            simcov_obs::verify_trace(&traces[0]).expect("trace verifies");
+        }
+    }
+
+    #[test]
+    fn diff_counters_are_deterministic_and_traced() {
+        let (m, faults, tests) = fixture();
+        let baseline = clean_run(&m, &faults, &tests, default_shard_size(faults.len()));
+        // The tour-based fixture excites every fault, so nothing is
+        // skipped but plenty of prefix work is saved.
+        assert!(baseline.diff.prefix_steps_saved > 0);
+        for jobs in [2, 8] {
+            let tel = Telemetry::new();
+            let run = ResilientCampaign::new(&m, &faults, &tests)
+                .jobs(jobs)
+                .telemetry(tel.clone())
+                .run()
+                .unwrap();
+            assert_eq!(run.diff, baseline.diff, "diff counters at jobs={jobs}");
+            let snap = tel.snapshot();
+            assert_eq!(
+                snap.counter(simcov_obs::names::CAMPAIGN_FAULTS_SKIPPED_BY_INDEX),
+                Some(run.diff.faults_skipped_by_index as u64)
+            );
+            assert_eq!(
+                snap.counter(simcov_obs::names::CAMPAIGN_PREFIX_STEPS_SAVED),
+                Some(run.diff.prefix_steps_saved as u64)
+            );
+            assert_eq!(
+                snap.counter(simcov_obs::names::CAMPAIGN_DIVERGENCE_REPLAYS),
+                Some(run.diff.divergence_replays as u64)
+            );
+        }
     }
 
     #[test]
@@ -1883,10 +1840,7 @@ mod tests {
         assert!(!run.skipped.is_empty());
         // Every simulated outcome is exact: it matches the clean run's
         // prefix for the completed shards.
-        let clean = FaultCampaign::new(&m, &faults, &tests)
-            .jobs(1)
-            .shard_size(7)
-            .run();
+        let clean = clean_run(&m, &faults, &tests, 7);
         assert_eq!(
             run.report.outcomes[..],
             clean.report.outcomes[..run.report.outcomes.len()]
@@ -1898,10 +1852,7 @@ mod tests {
         let (m, faults, tests) = fixture();
         let path = temp_path("resume");
         let _c = Cleanup(path.clone());
-        let clean = FaultCampaign::new(&m, &faults, &tests)
-            .jobs(2)
-            .shard_size(5)
-            .run();
+        let clean = clean_run(&m, &faults, &tests, 5);
         // Truncated first run: journal whatever completes.
         let cost = tests.total_vectors() as u64;
         let first = ResilientCampaign::new(&m, &faults, &tests)
@@ -1942,85 +1893,7 @@ mod tests {
                 .unwrap();
             assert_eq!(differential.report, naive.report, "jobs={jobs}");
             assert_eq!(differential.stats, naive.stats, "jobs={jobs}");
-            let packed = ResilientCampaign::new(&m, &faults, &tests)
-                .engine(Engine::Packed)
-                .jobs(jobs)
-                .run()
-                .unwrap();
-            assert_eq!(packed.report, naive.report, "packed, jobs={jobs}");
-            assert_eq!(packed.stats, naive.stats, "packed, jobs={jobs}");
-            assert_eq!(
-                packed.diff, differential.diff,
-                "packed saves exactly the differential effort, jobs={jobs}"
-            );
         }
-    }
-
-    #[test]
-    fn packed_checkpoint_resumes_under_naive_bit_identically() {
-        // The engine is excluded from the journal fingerprint, so a
-        // campaign interrupted under the packed engine must resume
-        // soundly — and bit-identically — under the naive oracle.
-        let (m, faults, tests) = fixture();
-        let path = temp_path("packed_to_naive");
-        let _c = Cleanup(path.clone());
-        let clean = FaultCampaign::new(&m, &faults, &tests)
-            .engine(Engine::Naive)
-            .jobs(2)
-            .shard_size(5)
-            .run();
-        let cost = tests.total_vectors() as u64;
-        let first = ResilientCampaign::new(&m, &faults, &tests)
-            .engine(Engine::Packed)
-            .jobs(2)
-            .shard_size(5)
-            .max_steps(cost * 40)
-            .checkpoint(&path)
-            .run()
-            .unwrap();
-        assert!(!first.is_complete);
-        let header_under_packed: Vec<String> = std::fs::read_to_string(&path)
-            .unwrap()
-            .lines()
-            .take(2)
-            .map(str::to_string)
-            .collect();
-        let resumed = ResilientCampaign::new(&m, &faults, &tests)
-            .engine(Engine::Naive)
-            .jobs(2)
-            .shard_size(5)
-            .checkpoint(&path)
-            .resume(true)
-            .run()
-            .unwrap();
-        assert!(resumed.is_complete, "notes: {:?}", resumed.journal_notes);
-        assert!(resumed.restored_shards > 0);
-        assert_eq!(resumed.stats, clean.stats);
-        assert_eq!(resumed.report, clean.report);
-        assert_eq!(
-            resumed.packed,
-            PackedStats::default(),
-            "naive packs nothing"
-        );
-        // The fingerprint header a naive run writes is byte-identical to
-        // the packed run's — the engine really is outside the fingerprint.
-        let path2 = temp_path("naive_header");
-        let _c2 = Cleanup(path2.clone());
-        ResilientCampaign::new(&m, &faults, &tests)
-            .engine(Engine::Naive)
-            .jobs(1)
-            .shard_size(5)
-            .max_steps(0)
-            .checkpoint(&path2)
-            .run()
-            .unwrap();
-        let header_under_naive: Vec<String> = std::fs::read_to_string(&path2)
-            .unwrap()
-            .lines()
-            .take(2)
-            .map(str::to_string)
-            .collect();
-        assert_eq!(header_under_packed, header_under_naive);
     }
 
     #[test]
@@ -2032,10 +1905,7 @@ mod tests {
         let (m, faults, tests) = fixture();
         let path = temp_path("any_offset");
         let _c = Cleanup(path.clone());
-        let clean = FaultCampaign::new(&m, &faults, &tests)
-            .jobs(1)
-            .shard_size(5)
-            .run();
+        let clean = clean_run(&m, &faults, &tests, 5);
         ResilientCampaign::new(&m, &faults, &tests)
             .jobs(1)
             .shard_size(5)
@@ -2073,10 +1943,7 @@ mod tests {
         let (m, faults, tests) = fixture();
         let path = temp_path("cross_engine");
         let _c = Cleanup(path.clone());
-        let clean = FaultCampaign::new(&m, &faults, &tests)
-            .jobs(2)
-            .shard_size(5)
-            .run();
+        let clean = clean_run(&m, &faults, &tests, 5);
         let cost = tests.total_vectors() as u64;
         let first = ResilientCampaign::new(&m, &faults, &tests)
             .engine(Engine::Naive)
@@ -2102,6 +1969,45 @@ mod tests {
         // Only the freshly simulated shards did differential work.
         assert!(resumed.diff.divergence_replays > 0);
         assert!(resumed.diff.divergence_replays < clean.diff.divergence_replays);
+        // The header a differential run writes is byte-identical to the
+        // naive run's: the engine really is outside the fingerprint.
+        let header = |path: &Path| -> Vec<String> {
+            let text = std::fs::read_to_string(path).unwrap();
+            text.lines().take(2).map(str::to_string).collect()
+        };
+        let path2 = temp_path("differential_header");
+        let _c2 = Cleanup(path2.clone());
+        ResilientCampaign::new(&m, &faults, &tests)
+            .engine(Engine::Differential)
+            .jobs(1)
+            .shard_size(5)
+            .max_steps(0)
+            .checkpoint(&path2)
+            .run()
+            .unwrap();
+        assert_eq!(header(&path), header(&path2));
+    }
+
+    #[test]
+    fn journal_header_encoding_is_pinned() {
+        // Journals written by earlier builds must keep resuming: the
+        // header text and the fingerprint encoding are a file format.
+        let (m, faults, tests) = fixture();
+        let path = temp_path("pinned_header");
+        let _c = Cleanup(path.clone());
+        ResilientCampaign::new(&m, &faults, &tests)
+            .jobs(1)
+            .shard_size(5)
+            .max_steps(0)
+            .checkpoint(&path)
+            .run()
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text,
+            "simcov-journal v1\n\
+             campaign faults=231 shards=47 shard_size=5 fingerprint=82d61194ffbc85b7\n"
+        );
     }
 
     #[test]
@@ -2165,10 +2071,7 @@ mod tests {
         let (m, faults, tests) = fixture();
         let path = temp_path("torn");
         let _c = Cleanup(path.clone());
-        let clean = FaultCampaign::new(&m, &faults, &tests)
-            .jobs(1)
-            .shard_size(5)
-            .run();
+        let clean = clean_run(&m, &faults, &tests, 5);
         ResilientCampaign::new(&m, &faults, &tests)
             .jobs(1)
             .shard_size(5)
@@ -2281,10 +2184,7 @@ mod tests {
                 panic_prob: 0.3,
                 ..ChaosPlan::new(7)
             };
-            let clean = FaultCampaign::new(&m, &faults, &tests)
-                .jobs(2)
-                .shard_size(5)
-                .run();
+            let clean = clean_run(&m, &faults, &tests, 5);
             let run = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(2)
                 .shard_size(5)
@@ -2350,10 +2250,7 @@ mod tests {
             );
             // The journal holds a subset of shards; resuming restores that
             // subset, re-runs the rest, and still matches a clean run.
-            let clean = FaultCampaign::new(&m, &faults, &tests)
-                .jobs(1)
-                .shard_size(5)
-                .run();
+            let clean = clean_run(&m, &faults, &tests, 5);
             let resumed = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(1)
                 .shard_size(5)
@@ -2400,6 +2297,112 @@ mod tests {
                 assert_eq!(summary.collapsed_faults, 0, "singletons prune nothing");
             }
             assert!(off.collapse.is_none());
+            // Off mode ignores the certificate entirely.
+            let explicit_off = ResilientCampaign::new(&m, &faults, &tests)
+                .jobs(2)
+                .collapse(&cert, CollapseMode::Off)
+                .run()
+                .unwrap();
+            assert!(explicit_off.collapse.is_none());
+            assert_eq!(explicit_off.report, off.report);
+        }
+
+        /// One state, one input, three outputs: the two effective output
+        /// faults at the single cell are genuinely equivalent (both
+        /// detected at the first vector), so collapsing them is sound and
+        /// actually prunes work.
+        fn output_pair_fixture() -> (ExplicitMealy, Vec<Fault>, TestSet, CollapseCertificate) {
+            use simcov_fsm::MealyBuilder;
+            let mut b = MealyBuilder::new();
+            let s0 = b.add_state("s0");
+            let i0 = b.add_input("i0");
+            let o0 = b.add_output("o0");
+            let o1 = b.add_output("o1");
+            let o2 = b.add_output("o2");
+            b.add_transition(s0, i0, s0, o0);
+            let m = b.build(s0).unwrap();
+            let faults: Vec<Fault> = [o1, o2]
+                .into_iter()
+                .map(|new_output| Fault {
+                    state: s0,
+                    input: i0,
+                    kind: FaultKind::Output { new_output },
+                })
+                .collect();
+            let tests = TestSet::single(vec![i0, i0]);
+            let cert = CollapseCertificate::new(
+                &m,
+                &faults,
+                vec![0, 0],
+                vec![ClassKind::Output],
+                Vec::new(),
+            )
+            .unwrap();
+            assert_eq!(cert.collapsed_faults(), 1);
+            (m, faults, tests, cert)
+        }
+
+        #[test]
+        fn collapse_on_matches_off_and_prunes_work() {
+            let (m, faults, tests, cert) = output_pair_fixture();
+            let off = clean_run(&m, &faults, &tests, 1);
+            for jobs in [1, 2, 8] {
+                let tel = Telemetry::new();
+                let on = ResilientCampaign::new(&m, &faults, &tests)
+                    .jobs(jobs)
+                    .shard_size(1)
+                    .collapse(&cert, CollapseMode::On)
+                    .telemetry(tel.clone())
+                    .run()
+                    .unwrap();
+                assert_eq!(on.report, off.report, "jobs={jobs}");
+                assert_eq!(on.stats, off.stats, "jobs={jobs}");
+                let summary = on.collapse.expect("collapse run carries a summary");
+                assert_eq!(summary.mode, CollapseMode::On);
+                assert_eq!(summary.classes, 1);
+                assert_eq!(summary.collapsed_faults, 1);
+                assert!(summary.violations.is_empty());
+                // Only the representative was simulated.
+                let snap = tel.snapshot();
+                assert_eq!(
+                    snap.counter("campaign.faults_simulated"),
+                    Some(1),
+                    "jobs={jobs}"
+                );
+            }
+        }
+
+        #[test]
+        fn collapse_trace_is_byte_identical_across_thread_counts() {
+            let (m, faults, tests) = fixture();
+            let cert = singleton_cert(&m, &faults);
+            let traces: Vec<String> = [1usize, 2, 8]
+                .iter()
+                .map(|&jobs| {
+                    let tel = Telemetry::new();
+                    let run = ResilientCampaign::new(&m, &faults, &tests)
+                        .jobs(jobs)
+                        .collapse(&cert, CollapseMode::On)
+                        .telemetry(tel.clone())
+                        .run()
+                        .unwrap();
+                    let snap = tel.snapshot();
+                    let summary = run.collapse.unwrap();
+                    assert_eq!(
+                        snap.counter(simcov_obs::names::CAMPAIGN_CLASSES),
+                        Some(summary.classes as u64)
+                    );
+                    assert_eq!(
+                        snap.counter(simcov_obs::names::CAMPAIGN_COLLAPSED_FAULTS),
+                        Some(summary.collapsed_faults as u64)
+                    );
+                    assert_eq!(snap.events.len(), run.total_shards);
+                    snap.to_jsonl()
+                })
+                .collect();
+            assert_eq!(traces[0], traces[1]);
+            assert_eq!(traces[0], traces[2]);
+            simcov_obs::verify_trace(&traces[0]).expect("trace verifies");
         }
 
         #[test]
@@ -2446,6 +2449,9 @@ mod tests {
                 .run()
                 .unwrap();
             assert!(!run.collapse.unwrap().violations.is_empty());
+            // Verify never prunes: the report is the full, honest one.
+            let off = ResilientCampaign::new(&m, &faults, &tests).run().unwrap();
+            assert_eq!(run.report, off.report);
         }
 
         #[test]

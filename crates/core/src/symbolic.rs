@@ -1,8 +1,8 @@
 //! Implicit (BDD-based) fault enumeration and simulation — the symbolic
 //! campaign engine.
 //!
-//! The explicit engines ([`crate::faults`], [`crate::differential`],
-//! [`crate::packed`]) walk one faulty machine at a time (or 64 per word).
+//! The explicit engines ([`crate::faults`], [`crate::differential`])
+//! walk one faulty machine at a time.
 //! This module instead encodes an entire *shard* of faults as a cofactor
 //! cube of a shared fault-id variable space and classifies every fault in
 //! the shard with one relational-product walk per test sequence:

@@ -183,7 +183,7 @@ fn closure_runs_are_identical_across_jobs_and_engines() {
             );
             let seed = g.u16() as u64;
             let base = ClosureDriver::new(&m, &faults, config(seed)).run();
-            for engine in [Engine::Naive, Engine::Differential, Engine::Packed] {
+            for engine in [Engine::Naive, Engine::Differential] {
                 for jobs in [1, 2, 8] {
                     let cfg = ClosureConfig {
                         engine,

@@ -12,7 +12,7 @@
 use simcov_core::resilient::chaos::{silence_chaos_panics, ChaosPlan};
 use simcov_core::testutil::{figure2, forall_cfg, Config};
 use simcov_core::{
-    enumerate_single_faults, extend_cyclically, Fault, FaultCampaign, FaultSpace, ResilientCampaign,
+    enumerate_single_faults, extend_cyclically, Fault, FaultSpace, ResilientCampaign,
 };
 use simcov_fsm::ExplicitMealy;
 use simcov_tour::{transition_tour, TestSet};
@@ -69,10 +69,11 @@ fn killed_campaign_resumes_byte_identical() {
             let shard_size = g.int_in(1usize..9);
             let seed = g.u64();
             let kill_jobs = *g.rng().choose(&JOB_COUNTS).unwrap();
-            let clean = FaultCampaign::new(&m, &faults, &tests)
+            let clean = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(1)
                 .shard_size(shard_size)
-                .run();
+                .run()
+                .unwrap();
             // Kill phase: panics poison shards (no retries), and some
             // checkpoint writes are dropped on top.
             let journal = scratch("kill", seed);
@@ -130,10 +131,11 @@ fn sigkill_truncated_journal_resumes_byte_identical() {
         |g| {
             let shard_size = g.int_in(1usize..9);
             let tag = g.u64();
-            let clean = FaultCampaign::new(&m, &faults, &tests)
+            let clean = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(1)
                 .shard_size(shard_size)
-                .run();
+                .run()
+                .unwrap();
             // Full checkpointed run, then tear the file at a random byte.
             let journal = scratch("sigkill", tag);
             ResilientCampaign::new(&m, &faults, &tests)
@@ -205,10 +207,11 @@ fn step_budget_truncation_accounting_is_exact() {
             assert_eq!(run.stopped.is_none(), run.is_complete);
             // The partial report is the clean run minus the skipped
             // shards, in shard order.
-            let clean = FaultCampaign::new(&m, &faults, &tests)
+            let clean = ResilientCampaign::new(&m, &faults, &tests)
                 .jobs(1)
                 .shard_size(shard_size)
-                .run();
+                .run()
+                .unwrap();
             let expected: Vec<_> = clean
                 .report
                 .outcomes

@@ -220,12 +220,6 @@ impl ExplicitMealy {
         self.table[state.index() * self.num_inputs() + input.index()]
     }
 
-    /// The raw dense table (`table[s * num_inputs + i]`), for in-crate
-    /// bulk transposition into struct-of-arrays form.
-    pub(crate) fn dense_table(&self) -> &[Option<(StateId, OutputSym)>] {
-        &self.table
-    }
-
     /// All state ids.
     pub fn states(&self) -> impl Iterator<Item = StateId> {
         (0..self.num_states() as u32).map(StateId)

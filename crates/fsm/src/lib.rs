@@ -12,11 +12,7 @@
 //!   statistics;
 //! * [`enumerate`] — extraction of an [`ExplicitMealy`] from a netlist by
 //!   forward enumeration of the reachable state graph under a declared set
-//!   of valid input vectors (the paper's input don't-cares);
-//! * [`PackedMealy`] — word-packed struct-of-arrays transition tables
-//!   stepping up to [`LANES`] independent machines per round, with
-//!   [`LanePatch`] one-cell overlays: the substrate of the bit-parallel
-//!   fault-simulation engine.
+//!   of valid input vectors (the paper's input don't-cares).
 //!
 //! # Example
 //!
@@ -46,7 +42,6 @@ pub mod enumerate;
 mod explicit;
 mod input_classes;
 mod minimize;
-mod packed;
 mod product;
 pub mod refine;
 mod symbolic;
@@ -57,7 +52,6 @@ pub use explicit::{
 };
 pub use input_classes::{input_equivalence_classes, InputClasses};
 pub use minimize::{minimize, Minimized};
-pub use packed::{LanePatch, PackedMealy, LANES, UNDEFINED_NARROW, UNDEFINED_RECORD};
 pub use product::{forall_k_symbolic, PairAnalysisResult, PairFsm, TransferDetectPrep};
 pub use refine::{partition_by_rows, refine_partition, Partition};
 pub use symbolic::{CoverageAccumulator, ReachResult, SymbolicFsm, SymbolicStats};

@@ -41,7 +41,6 @@
 pub mod blif;
 mod build;
 mod circuit;
-mod packed;
 pub mod transform;
 
 pub use blif::{from_blif, to_blif, BlifError};

@@ -7,8 +7,7 @@
 //! names used from more than one crate therefore live here as constants
 //! instead of string literals scattered across the engines.
 //!
-//! Only the differential- and packed-engine counters are declared so far
-//! — the
+//! Only the differential-engine counters are declared so far — the
 //! campaign counters that predate this module (`campaign.faults_simulated`
 //! and friends) keep their literal spellings at their single emission
 //! site; move them here if a second producer ever appears.
@@ -26,15 +25,6 @@ pub const CAMPAIGN_PREFIX_STEPS_SAVED: &str = "campaign.prefix_steps_saved";
 /// Suffix replays performed from a first divergence point (differential
 /// engine; see `simcov_core::differential::DiffStats::divergence_replays`).
 pub const CAMPAIGN_DIVERGENCE_REPLAYS: &str = "campaign.divergence_replays";
-
-/// Fault words replayed by the bit-parallel engine, each batching up to
-/// 64 effective transfer faults (packed engine; see
-/// `simcov_core::packed::PackedStats::packed_words`).
-pub const CAMPAIGN_PACKED_WORDS: &str = "campaign.packed_words";
-
-/// Lanes occupied across all fault words (packed engine; see
-/// `simcov_core::packed::PackedStats::lanes_active`).
-pub const CAMPAIGN_LANES_ACTIVE: &str = "campaign.lanes_active";
 
 /// Faults whose simulation was skipped because a collapse certificate
 /// proved them equivalent to an already-simulated class representative
@@ -70,7 +60,7 @@ pub const SERVE_JOBS_REJECTED: &str = "serve.jobs_rejected";
 pub const SERVE_JOBS_RETRIED: &str = "serve.jobs_retried";
 
 /// Rungs descended on the engine-degradation ladder
-/// (`packed → differential → naive`) after a failed equivalence audit.
+/// (`symbolic → differential → naive`) after a failed equivalence audit.
 pub const SERVE_JOBS_DEGRADED: &str = "serve.jobs_degraded";
 
 /// Jobs quarantined after exhausting the retry budget; resubmissions of
@@ -136,9 +126,9 @@ pub const ADAPTIVE_CLOSED: &str = "adaptive.closed";
 // Emitted by the serial campaign merge loop after all shards complete.
 // Every shard runs its own `BddManager` through a deterministic operation
 // sequence, so the summed values are byte-identical across `--jobs` (see
-// the determinism contract in [`crate`]). As with the differential and
-// packed effort counters, shards restored from a resume journal contribute
-// no BDD work, so resumed runs report only the work actually redone.
+// the determinism contract in [`crate`]). As with the differential effort
+// counters, shards restored from a resume journal contribute no BDD work,
+// so resumed runs report only the work actually redone.
 
 /// Hash-consed nodes allocated across all shard managers of a symbolic
 /// campaign (unique-table size at end of shard, summed over shards).
@@ -182,8 +172,6 @@ mod tests {
             CAMPAIGN_FAULTS_SKIPPED_BY_INDEX,
             CAMPAIGN_PREFIX_STEPS_SAVED,
             CAMPAIGN_DIVERGENCE_REPLAYS,
-            CAMPAIGN_PACKED_WORDS,
-            CAMPAIGN_LANES_ACTIVE,
             CAMPAIGN_COLLAPSED_FAULTS,
             CAMPAIGN_CLASSES,
             CAMPAIGN_COLLAPSE_VIOLATIONS,

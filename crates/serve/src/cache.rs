@@ -1,14 +1,14 @@
 //! Cross-request [`GoldenTrace`] cache.
 //!
 //! Building the golden trace is the dominant per-job fixed cost for the
-//! differential and packed engines, and concurrent tenants overwhelmingly
-//! re-run the same models under the same tours. The cache keys traces by
-//! *(machine fingerprint, test-set fingerprint)* — the same FNV-64
-//! identities the checkpoint journal binds to — so any two jobs whose
-//! machine and tests are identical share one immutable [`Arc`]'d trace,
-//! regardless of engine ([`GoldenTrace::build`] and `build_packed` are
-//! bit-identical field-for-field, which is what makes one cache safe for
-//! both).
+//! differential engine, and concurrent tenants overwhelmingly re-run the
+//! same models under the same tours. The cache keys traces by *(machine
+//! fingerprint, test-set fingerprint)* — the same FNV-64 identities the
+//! checkpoint journal binds to — so any two jobs whose machine and tests
+//! are identical share one immutable [`Arc`]'d trace built by
+//! [`GoldenTrace::build`]. The engine audit reads the same trace, so a
+//! job that degrades from the symbolic engine to the differential one
+//! reuses it too.
 //!
 //! Capacity is bounded with LRU eviction, and concurrent requests for
 //! the same missing key are deduplicated: the first requester builds,

@@ -14,16 +14,14 @@
 use crate::cache::TraceCache;
 use crate::ExitStatus;
 use simcov_analyze::{analyze_collapse, lint_analysis, AnalyzeOptions, AnalyzeTarget};
-use simcov_core::differential::simulate_fault_differential;
 use simcov_core::fingerprint::machine_fingerprint;
-use simcov_core::packed::simulate_shard_packed;
 use simcov_core::{
     default_jobs, enumerate_single_faults, extend_cyclically, run_implicit_campaign,
-    simulate_fault, simulate_shard_symbolic, ClosureConfig, ClosureDriver, CollapseMode, DiffStats,
-    Engine, Fault, FaultSpace, GoldenTrace, ImplicitConfig, PackedStats, ReplayScript,
-    ResilientCampaign, SymbolicContext, SymbolicEngineStats,
+    simulate_fault, ClosureConfig, ClosureDriver, CollapseMode, DiffStats, Engine, Fault,
+    FaultSpace, GoldenTrace, ImplicitConfig, ResilientCampaign, ShardSimulator, SymbolicContext,
+    SymbolicEngineStats,
 };
-use simcov_fsm::{enumerate_netlist, EnumerateOptions, ExplicitMealy, PackedMealy};
+use simcov_fsm::{enumerate_netlist, EnumerateOptions, ExplicitMealy};
 use simcov_netlist::Netlist;
 use simcov_obs::fnv::Fnv64;
 use simcov_obs::Telemetry;
@@ -153,8 +151,8 @@ pub struct CampaignOpts {
     /// Restore journaled shards before simulating (`--resume`).
     pub resume: bool,
     /// Fault-simulation engine (`--engine`). All engines produce
-    /// bit-identical reports; `naive` exists as the differential
-    /// engine's oracle for equivalence gates.
+    /// bit-identical reports; `naive` exists as the other engines'
+    /// oracle for equivalence gates.
     pub engine: Engine,
     /// Static fault collapsing (`--collapse`): `off` simulates every
     /// fault, `on` prunes to class representatives (bit-identical
@@ -366,7 +364,7 @@ pub struct ExecCtx<'a> {
     /// Cross-request golden-trace cache.
     pub cache: Option<&'a TraceCache>,
     /// Engine-equivalence sampling audit; `Some` enables the
-    /// `packed → differential → naive` degradation ladder.
+    /// `symbolic → differential → naive` degradation ladder.
     pub audit: Option<AuditPolicy>,
     /// Chaos hook: force an audit verdict per engine (`true` = fail the
     /// audit). `None` audits honestly.
@@ -389,10 +387,11 @@ impl Default for AuditPolicy {
 }
 
 /// Audits `engine` against the naive oracle on a seeded fault sample;
-/// `true` means every sampled outcome agreed. Runs entirely outside the
-/// job's telemetry so a passed audit leaves no trace in the job's trace.
-/// `sym` is the netlist bridge for [`Engine::Symbolic`] (auditing that
-/// engine without one fails the audit, descending the ladder).
+/// `true` means every sampled outcome agreed. The sample is simulated
+/// through the same [`ShardSimulator`] a campaign uses, entirely outside
+/// the job's telemetry, so a passed audit leaves no trace in the job's
+/// trace. `sym` is the netlist bridge for [`Engine::Symbolic`] (auditing
+/// that engine without one fails the audit, descending the ladder).
 pub fn audit_engine(
     m: &ExplicitMealy,
     trace: &GoldenTrace,
@@ -412,45 +411,33 @@ pub fn audit_engine(
         .copied()
         .collect();
     let expected: Vec<_> = sample.iter().map(|f| simulate_fault(m, f, tests)).collect();
-    let got = match engine {
-        Engine::Naive => unreachable!("checked above"),
-        Engine::Differential => {
-            let mut diff = DiffStats::default();
-            sample
-                .iter()
-                .map(|f| simulate_fault_differential(m, trace, f, tests, &mut diff))
-                .collect::<Vec<_>>()
-        }
-        Engine::Packed => {
-            let tables = PackedMealy::from_explicit(m);
-            let script = ReplayScript::build(trace, tests);
-            let mut diff = DiffStats::default();
-            let mut packed = PackedStats::default();
-            simulate_shard_packed(
-                m,
-                &tables,
-                trace,
-                &script,
-                &sample,
-                tests,
-                &mut diff,
-                &mut packed,
-            )
-        }
-        Engine::Symbolic => {
-            let Some(ctx) = sym else { return false };
-            let mut stats = SymbolicEngineStats::default();
-            simulate_shard_symbolic(ctx, m, &sample, tests, &mut stats)
-        }
+    let Some(sim) = ShardSimulator::new(engine, m, tests, Some(trace), sym) else {
+        return false;
     };
-    got == expected
+    let (mut diff, mut stats) = (DiffStats::default(), SymbolicEngineStats::default());
+    sim.simulate(&sample, || true, &mut diff, &mut stats) == Some(expected)
+}
+
+/// The netlist bridge the symbolic engine simulates through, when
+/// `engine` is symbolic; building it revalidates the netlist against the
+/// machine enumerated from it.
+fn symbolic_context<'n>(
+    engine: Engine,
+    n: &'n Netlist,
+    m: &ExplicitMealy,
+) -> Result<Option<SymbolicContext<'n>>, JobError> {
+    if engine != Engine::Symbolic {
+        return Ok(None);
+    }
+    SymbolicContext::new(n, m, &EnumerateOptions::exhaustive(n).inputs)
+        .map(Some)
+        .map_err(|e| JobError::runtime(format!("symbolic context: {e}")))
 }
 
 /// One rung down the degradation ladder.
 fn degrade(engine: Engine) -> Engine {
     match engine {
         Engine::Symbolic => Engine::Differential,
-        Engine::Packed => Engine::Differential,
         Engine::Differential | Engine::Naive => Engine::Naive,
     }
 }
@@ -517,16 +504,7 @@ fn execute_campaign(
     tel.counter_add("campaign.faults_enumerated", faults.len() as u64);
     tel.gauge_set("campaign.test_vectors", tests.total_vectors() as u64);
 
-    // The symbolic shard engine needs the netlist bridge; building it
-    // revalidates the netlist against the enumerated machine.
-    let exhaustive_inputs = EnumerateOptions::exhaustive(&n).inputs;
-    let sym_ctx = match opts.engine {
-        Engine::Symbolic => Some(
-            SymbolicContext::new(&n, &m, &exhaustive_inputs)
-                .map_err(|e| JobError::runtime(format!("symbolic context: {e}")))?,
-        ),
-        _ => None,
-    };
+    let sym_ctx = symbolic_context(opts.engine, &n, &m)?;
 
     // Server-side extras, both invisible to the job's telemetry: fetch
     // the golden trace (cache or local build) once, audit the requested
@@ -580,13 +558,10 @@ fn execute_campaign(
         .jobs(jobs)
         .max_retries(opts.max_retries)
         .telemetry(tel.clone());
-    if let (Some(trace), true) = (
-        &shared_trace,
-        matches!(engine, Engine::Differential | Engine::Packed),
-    ) {
+    if let Some(trace) = &shared_trace {
         campaign = campaign.golden_trace(Arc::clone(trace));
     }
-    if let (Some(ctx), Engine::Symbolic) = (&sym_ctx, engine) {
+    if let Some(ctx) = &sym_ctx {
         campaign = campaign.symbolic(ctx);
     }
     if let Some(a) = &analysis {
@@ -830,9 +805,13 @@ fn execute_close(
         jobs: opts.jobs,
         ..ClosureConfig::default()
     };
+    let sym_ctx = symbolic_context(opts.engine, &n, &m)?;
     let mut driver = ClosureDriver::new(&m, &faults, config).telemetry(tel.clone());
     if let Some(a) = &analysis {
         driver = driver.collapse(&a.certificate);
+    }
+    if let Some(ctx) = &sym_ctx {
+        driver = driver.symbolic(ctx);
     }
     let started = std::time::Instant::now();
     let run = driver.run();
@@ -1184,12 +1163,12 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let spec = campaign_spec(3, Engine::Packed);
+        let spec = campaign_spec(3, Engine::Symbolic);
         let a = execute(&spec, &Telemetry::new(), &ExecCtx::default()).unwrap();
         let b = execute(&spec, &Telemetry::new(), &ExecCtx::default()).unwrap();
         assert_eq!(strip_wall(&a.text), strip_wall(&b.text));
         assert_eq!(a.status, ExitStatus::Ok);
-        assert_eq!(a.engine_used, Some(Engine::Packed));
+        assert_eq!(a.engine_used, Some(Engine::Symbolic));
         assert_eq!(a.degraded, 0);
     }
 
@@ -1226,7 +1205,7 @@ mod tests {
 
     #[test]
     fn forced_audit_failure_descends_the_ladder() {
-        let spec = campaign_spec(1, Engine::Packed);
+        let spec = campaign_spec(1, Engine::Symbolic);
         let fail_all = |_: Engine| true;
         let ctx = ExecCtx {
             cache: None,
@@ -1235,7 +1214,7 @@ mod tests {
         };
         let out = execute(&spec, &Telemetry::new(), &ctx).unwrap();
         assert_eq!(out.engine_used, Some(Engine::Naive));
-        assert_eq!(out.degraded, 2, "packed → differential → naive");
+        assert_eq!(out.degraded, 2, "symbolic → differential → naive");
         assert!(out.text.contains("engine: naive"), "{}", out.text);
 
         // The degraded job's report is byte-identical to a single-shot
@@ -1253,15 +1232,16 @@ mod tests {
 
     #[test]
     fn honest_audit_passes_on_real_engines() {
-        let spec = campaign_spec(5, Engine::Packed);
         let ctx = ExecCtx {
             cache: None,
             audit: Some(AuditPolicy::default()),
             force_audit_fail: None,
         };
-        let out = execute(&spec, &Telemetry::new(), &ctx).unwrap();
-        assert_eq!(out.engine_used, Some(Engine::Packed));
-        assert_eq!(out.degraded, 0);
+        for engine in [Engine::Differential, Engine::Symbolic] {
+            let out = execute(&campaign_spec(5, engine), &Telemetry::new(), &ctx).unwrap();
+            assert_eq!(out.engine_used, Some(engine));
+            assert_eq!(out.degraded, 0, "{engine}");
+        }
     }
 
     fn close_spec(jobs: usize, engine: Engine, format: &str) -> JobSpec {
@@ -1309,32 +1289,41 @@ mod tests {
 
     #[test]
     fn close_engines_agree_and_text_reports_closure() {
-        let base = execute(
-            &close_spec(2, Engine::Naive, "json"),
-            &Telemetry::new(),
-            &ExecCtx::default(),
-        )
-        .unwrap();
-        for engine in [Engine::Differential, Engine::Packed] {
-            let other = execute(
-                &close_spec(2, engine, "json"),
+        let run = |jobs, engine, format| {
+            execute(
+                &close_spec(jobs, engine, format),
                 &Telemetry::new(),
                 &ExecCtx::default(),
             )
-            .unwrap();
-            // Engine name is part of the report header; everything after
-            // it (rounds, stats) must agree.
-            let strip = |s: &str| s.split("\"seed\"").nth(1).unwrap().to_string();
-            assert_eq!(strip(&base.text), strip(&other.text), "{engine}");
+            .unwrap()
+            .text
+        };
+        // The engine name is part of each report's header; everything
+        // else (rounds, stats, closure verdict) must agree.
+        let strip_json = |s: &str| s.split("\"seed\"").nth(1).unwrap().to_string();
+        let strip_text = |s: &str| {
+            s.lines()
+                .filter(|l| !l.starts_with("engine:") && !l.starts_with("wall:"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        for jobs in [1, 2] {
+            let json = run(jobs, Engine::Naive, "json");
+            let text = run(jobs, Engine::Naive, "text");
+            assert!(text.contains("closure: reached"), "{text}");
+            assert!(text.contains("round 0:"), "{text}");
+            for engine in [Engine::Differential, Engine::Symbolic] {
+                let tag = format!("{engine} jobs={jobs}");
+                assert_eq!(
+                    strip_json(&json),
+                    strip_json(&run(jobs, engine, "json")),
+                    "{tag}"
+                );
+                let other = run(jobs, engine, "text");
+                assert!(other.contains(&format!("engine: {engine}")), "{tag}");
+                assert_eq!(strip_text(&text), strip_text(&other), "{tag}");
+            }
         }
-        let text = execute(
-            &close_spec(2, Engine::Differential, "text"),
-            &Telemetry::new(),
-            &ExecCtx::default(),
-        )
-        .unwrap();
-        assert!(text.text.contains("closure: reached"), "{}", text.text);
-        assert!(text.text.contains("round 0:"), "{}", text.text);
     }
 
     #[test]
@@ -1394,12 +1383,12 @@ mod tests {
 
     #[test]
     fn spec_fingerprints_distinguish_jobs() {
-        let a = campaign_spec(1, Engine::Packed);
-        let b = campaign_spec(2, Engine::Packed);
+        let a = campaign_spec(1, Engine::Symbolic);
+        let b = campaign_spec(2, Engine::Symbolic);
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_eq!(
             a.fingerprint(),
-            campaign_spec(1, Engine::Packed).fingerprint()
+            campaign_spec(1, Engine::Symbolic).fingerprint()
         );
     }
 

@@ -25,7 +25,7 @@
 //!   `serve --resume` re-runs exactly the admitted-but-unfinished ones.
 //! * [`server`] — the thread-pool server: per-job panic isolation,
 //!   deterministic seeded retry backoff, quarantine, and the
-//!   `packed → differential → naive` degradation ladder.
+//!   `symbolic → differential → naive` degradation ladder.
 //! * [`client`] — a small blocking client used by `simcov submit`, the
 //!   load-test harness and the CI gates.
 //!

@@ -173,6 +173,18 @@ fn parse_model(req: &Json) -> Result<ModelSource, String> {
     }
 }
 
+/// The optional `engine` field, parsed against the one table of engine
+/// names the CLI's `--engine` flag uses.
+fn parse_engine(req: &Json) -> Result<Engine, String> {
+    match req.get("engine") {
+        None => Ok(Engine::default()),
+        Some(v) => v
+            .as_str()
+            .ok_or_else(|| format!("`engine` must be a string ({})", Engine::names()))?
+            .parse(),
+    }
+}
+
 fn parse_overrides(req: &Json) -> Result<SeverityOverrides, String> {
     let mut overrides = Vec::new();
     let Some(list) = req.get("overrides") else {
@@ -237,20 +249,7 @@ pub fn parse_request(req: &Json) -> Result<Request, String> {
                             ));
                         }
                     }
-                    let engine = match req.get("engine") {
-                        None => Engine::default(),
-                        Some(v) => match v.as_str() {
-                            Some("naive") => Engine::Naive,
-                            Some("differential") => Engine::Differential,
-                            Some("packed") => Engine::Packed,
-                            Some("symbolic") => Engine::Symbolic,
-                            _ => {
-                                return Err(
-                                    "`engine` must be naive|differential|packed|symbolic".into()
-                                )
-                            }
-                        },
-                    };
+                    let engine = parse_engine(req)?;
                     let collapse = match req.get("collapse") {
                         None => CollapseMode::Off,
                         Some(v) => v
@@ -311,20 +310,7 @@ pub fn parse_request(req: &Json) -> Result<Request, String> {
                     }
                 }
                 "close" => {
-                    let engine = match req.get("engine") {
-                        None => Engine::default(),
-                        Some(v) => match v.as_str() {
-                            Some("naive") => Engine::Naive,
-                            Some("differential") => Engine::Differential,
-                            Some("packed") => Engine::Packed,
-                            Some("symbolic") => Engine::Symbolic,
-                            _ => {
-                                return Err(
-                                    "`engine` must be naive|differential|packed|symbolic".into()
-                                )
-                            }
-                        },
-                    };
+                    let engine = parse_engine(req)?;
                     let defaults = CloseOpts::default();
                     JobKind::Close(CloseOpts {
                         max_faults: get_u64(req, "max_faults", defaults.max_faults as u64)?

@@ -61,7 +61,7 @@ pub struct ServerConfig {
     /// Recover the journal instead of truncating it.
     pub resume: bool,
     /// Engine-equivalence sampling audit; `Some` arms the
-    /// `packed → differential → naive` degradation ladder.
+    /// `symbolic → differential → naive` degradation ladder.
     pub audit: Option<AuditPolicy>,
     /// Service-layer failure injection (tests only).
     #[cfg(feature = "chaos")]

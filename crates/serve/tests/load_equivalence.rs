@@ -23,11 +23,11 @@ use std::sync::Mutex;
 const SHAPES: &[&str] = &[
     r#""type":"campaign","model":{"dlx":"reduced-obs"},"max_faults":60,"seed":1,"k":1,"engine":"naive""#,
     r#""type":"campaign","model":{"dlx":"reduced-obs"},"max_faults":60,"seed":1,"k":1,"engine":"differential""#,
-    r#""type":"campaign","model":{"dlx":"reduced-obs"},"max_faults":60,"seed":1,"k":1,"engine":"packed""#,
+    r#""type":"campaign","model":{"dlx":"reduced-obs"},"max_faults":60,"seed":1,"k":1,"engine":"symbolic""#,
     r#""type":"campaign","model":{"dlx":"reduced-obs"},"max_faults":60,"seed":2,"k":1,"engine":"naive""#,
     r#""type":"campaign","model":{"dlx":"reduced-obs"},"max_faults":60,"seed":2,"k":1,"engine":"differential""#,
-    r#""type":"campaign","model":{"dlx":"reduced-obs"},"max_faults":60,"seed":2,"k":1,"engine":"packed""#,
-    r#""type":"campaign","model":{"dlx":"reduced"},"max_faults":40,"seed":1,"k":1,"engine":"packed""#,
+    r#""type":"campaign","model":{"dlx":"reduced-obs"},"max_faults":60,"seed":2,"k":1,"engine":"symbolic""#,
+    r#""type":"campaign","model":{"dlx":"reduced"},"max_faults":40,"seed":1,"k":1,"engine":"symbolic""#,
     r#""type":"lint","model":{"dlx":"reduced-obs"}"#,
     r#""type":"lint","model":{"dlx":"fig3a"},"format":"json""#,
     r#""type":"tour","model":{"dlx":"reduced-obs"},"kind":"postman""#,
@@ -49,12 +49,9 @@ fn single_shot(payload: &str, engine_override: Option<&str>) -> (String, ExitSta
         panic!("test payload is not a submit");
     };
     if let (JobKind::Campaign(opts), Some(engine)) = (&mut spec.kind, engine_override) {
-        opts.engine = match engine {
-            "naive" => simcov_core::Engine::Naive,
-            "differential" => simcov_core::Engine::Differential,
-            "packed" => simcov_core::Engine::Packed,
-            other => panic!("unknown engine `{other}` in result frame"),
-        };
+        opts.engine = engine
+            .parse()
+            .unwrap_or_else(|e| panic!("{e} in result frame"));
     }
     let tel = simcov_obs::Telemetry::new();
     let outcome = jobs::execute(&spec, &tel, &ExecCtx::default()).expect("single-shot succeeds");

@@ -199,6 +199,37 @@ fn fuzzed_frames_never_wedge_the_server() {
 }
 
 #[test]
+fn retired_engine_name_is_an_error_frame_on_a_live_connection() {
+    let (addr, handle) = start_server();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    for kind in ["campaign", "close"] {
+        let payload = format!(
+            r#"{{"type":"{kind}","id":"p","model":{{"dlx":"reduced-obs"}},"engine":"packed"}}"#
+        );
+        stream
+            .write_all(&frame_bytes(payload.as_bytes()))
+            .expect("write request");
+        let reply = String::from_utf8(read_raw_frame(&mut stream).expect("error frame")).unwrap();
+        assert!(reply.contains("\"error\""), "{kind}: {reply}");
+        assert!(
+            reply.contains("unknown engine `packed` (naive|differential|symbolic)"),
+            "{kind}: {reply}"
+        );
+    }
+    // The same connection still runs a real job.
+    stream
+        .write_all(&frame_bytes(valid_submit("after-packed").as_bytes()))
+        .expect("submit");
+    let ack = String::from_utf8(read_raw_frame(&mut stream).expect("ack")).unwrap();
+    assert!(ack.contains("admitted"), "{ack}");
+    drop(stream);
+    let mut cl = Client::connect(&addr).expect("reconnect");
+    let _ = cl.request(&client::shutdown()).expect("shutdown");
+    let summary = handle.join().expect("server thread");
+    assert_eq!(summary.completed, 1);
+}
+
+#[test]
 fn disconnect_after_admission_parks_the_result() {
     // A client that submits a job and vanishes must not leak: the job
     // still runs, the result is stored, and a later connection can

@@ -6,8 +6,7 @@
 //! `crates/core/tests/properties.rs` and of the CI equivalence gate.
 
 use simcov::core::{
-    enumerate_single_faults, extend_cyclically, DiffStats, Engine, FaultCampaign, FaultSpace,
-    ResilientCampaign,
+    enumerate_single_faults, extend_cyclically, DiffStats, Engine, FaultSpace, ResilientCampaign,
 };
 use simcov::dlx::testmodel::{reduced_control_netlist_observable, reduced_valid_inputs};
 use simcov::fsm::{enumerate_netlist, ExplicitMealy};
@@ -33,16 +32,18 @@ fn dlx_fixture() -> (ExplicitMealy, Vec<simcov::core::Fault>, TestSet) {
 #[test]
 fn dlx_campaign_is_engine_independent_at_any_job_count() {
     let (m, faults, tests) = dlx_fixture();
-    let naive = FaultCampaign::new(&m, &faults, &tests)
+    let naive = ResilientCampaign::new(&m, &faults, &tests)
         .engine(Engine::Naive)
         .jobs(2)
-        .run();
+        .run()
+        .unwrap();
     assert_eq!(naive.diff, DiffStats::default());
     for jobs in [1, 2, 8] {
-        let differential = FaultCampaign::new(&m, &faults, &tests)
+        let differential = ResilientCampaign::new(&m, &faults, &tests)
             .engine(Engine::Differential)
             .jobs(jobs)
-            .run();
+            .run()
+            .unwrap();
         assert_eq!(
             differential.report.outcomes, naive.report.outcomes,
             "per-fault outcomes must be engine-independent at jobs={jobs}"
