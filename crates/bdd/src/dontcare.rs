@@ -129,7 +129,7 @@ impl BddManager {
             if !seen.insert(n) || n <= 1 {
                 continue;
             }
-            let node = self.nodes[n as usize];
+            let node = self.node(n);
             let _ = writeln!(
                 s,
                 "  {} [label=\"{}\"];",

@@ -2,6 +2,7 @@
 
 use crate::util::{DirectCache, TripleMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// A BDD variable, identified by its level in the (static) variable order.
 ///
@@ -29,7 +30,8 @@ impl fmt::Display for Var {
 ///
 /// Handles are plain indices: copying them is free, and they stay valid for
 /// the lifetime of the manager (nodes are never garbage collected out from
-/// under a live computation; see [`BddManager::clear_caches`]).
+/// under a live computation; see [`BddManager::clear_caches`]) and in every
+/// clone of it.
 ///
 /// The two terminal nodes are [`Bdd::FALSE`] and [`Bdd::TRUE`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,6 +83,21 @@ pub(crate) struct Node {
     pub(crate) high: u32,
 }
 
+/// Initial slot count of the unique table and the ITE cache.
+const PRIMARY_TABLE_SLOTS: usize = 1 << 12;
+
+/// Initial slot count of the quantification, relational-product and
+/// compose caches.
+const SECONDARY_CACHE_SLOTS: usize = 1 << 10;
+
+/// The immutable node prefix a frozen manager shares with its clones:
+/// nodes `0..nodes.len()` and their unique-table entries.
+#[derive(Clone)]
+struct FrozenBase {
+    nodes: Vec<Node>,
+    unique: TripleMap,
+}
+
 /// Cumulative operation counters of a [`BddManager`] — the backing store
 /// of the `bdd.*` observability counters (`simcov_obs::names::BDD_*`).
 ///
@@ -118,6 +135,11 @@ impl BddRuntimeStats {
 /// are memoized in internal caches; [`BddManager::clear_caches`] frees that
 /// memory without invalidating any handle.
 ///
+/// Cloning a manager copies what it owns. [`BddManager::freeze`] moves
+/// every node built so far into a base shared, behind an [`Arc`], by the
+/// manager and all its later clones, so forking many workers from one
+/// large prepared manager costs a reference-count bump per worker.
+///
 /// # Example
 ///
 /// ```
@@ -130,7 +152,18 @@ impl BddRuntimeStats {
 /// ```
 #[derive(Clone)]
 pub struct BddManager {
-    pub(crate) nodes: Vec<Node>,
+    /// Frozen nodes `0..base_len`, shared with clones.
+    base: Arc<FrozenBase>,
+    /// `base.nodes.len()`, kept inline so node reads of a never-frozen
+    /// manager (`base_len == 0`) never touch the base.
+    base_len: usize,
+    /// `base_len` once the base holds internal nodes, else 0: `mk_node`
+    /// probes the base unique table only for children below this bound
+    /// (a node over any unfrozen child cannot be frozen).
+    probe_below: u32,
+    /// Owned nodes: node `i >= base_len` is `nodes[i - base_len]`.
+    nodes: Vec<Node>,
+    /// Unique-table entries of the owned nodes.
     unique: TripleMap,
     pub(crate) ite_cache: DirectCache,
     pub(crate) quant_cache: DirectCache,
@@ -165,12 +198,18 @@ impl BddManager {
             high: 1,
         });
         BddManager {
+            base: Arc::new(FrozenBase {
+                nodes: Vec::new(),
+                unique: TripleMap::with_capacity_pow2(0),
+            }),
+            base_len: 0,
+            probe_below: 0,
             nodes,
-            unique: TripleMap::with_capacity_pow2(1 << 12),
-            ite_cache: DirectCache::with_capacity_pow2(1 << 12),
-            quant_cache: DirectCache::with_capacity_pow2(1 << 10),
-            and_exists_cache: DirectCache::with_capacity_pow2(1 << 10),
-            compose_cache: DirectCache::with_capacity_pow2(1 << 10),
+            unique: TripleMap::with_capacity_pow2(PRIMARY_TABLE_SLOTS),
+            ite_cache: DirectCache::with_capacity_pow2(PRIMARY_TABLE_SLOTS),
+            quant_cache: DirectCache::with_capacity_pow2(SECONDARY_CACHE_SLOTS),
+            and_exists_cache: DirectCache::with_capacity_pow2(SECONDARY_CACHE_SLOTS),
+            compose_cache: DirectCache::with_capacity_pow2(SECONDARY_CACHE_SLOTS),
             num_vars,
             stats: BddRuntimeStats::default(),
             gc_node_floor: GC_MIN_NODES,
@@ -182,9 +221,53 @@ impl BddManager {
         self.num_vars
     }
 
-    /// Total number of nodes allocated so far (including both terminals).
+    /// Total number of nodes allocated so far (including both terminals),
+    /// frozen or owned.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.base_len + self.nodes.len()
+    }
+
+    /// Seals every node built so far into an immutable base that this
+    /// manager and all its later clones share instead of copying, and
+    /// resets the operation caches to their initial size.
+    ///
+    /// Handles, node numbering and every function's canonical handle are
+    /// unchanged; only what a clone copies shrinks, to the nodes built
+    /// after the freeze plus fresh caches. Freezing again folds those
+    /// later nodes into a new base (copying the old one if a clone still
+    /// shares it).
+    pub fn freeze(&mut self) {
+        if !self.nodes.is_empty() {
+            let owned = std::mem::take(&mut self.nodes);
+            let unique = std::mem::replace(
+                &mut self.unique,
+                TripleMap::with_capacity_pow2(PRIMARY_TABLE_SLOTS),
+            );
+            if self.base_len == 0 {
+                self.base = Arc::new(FrozenBase {
+                    nodes: owned,
+                    unique,
+                });
+            } else {
+                let base = Arc::make_mut(&mut self.base);
+                for (i, n) in owned.iter().enumerate() {
+                    base.unique
+                        .insert(n.var, n.low, n.high, (self.base_len + i) as u32);
+                }
+                base.nodes.extend_from_slice(&owned);
+            }
+            self.base_len = self.base.nodes.len();
+            // Terminals are never in a unique table.
+            self.probe_below = if self.base_len > 2 {
+                self.base_len as u32
+            } else {
+                0
+            };
+        }
+        self.ite_cache = DirectCache::with_capacity_pow2(PRIMARY_TABLE_SLOTS);
+        self.quant_cache = DirectCache::with_capacity_pow2(SECONDARY_CACHE_SLOTS);
+        self.and_exists_cache = DirectCache::with_capacity_pow2(SECONDARY_CACHE_SLOTS);
+        self.compose_cache = DirectCache::with_capacity_pow2(SECONDARY_CACHE_SLOTS);
     }
 
     /// Grows the variable order by `extra` fresh variables appended at the
@@ -233,9 +316,15 @@ impl BddManager {
         if low == high {
             return low;
         }
+        if low.0.max(high.0) < self.probe_below {
+            if let Some(idx) = self.base.unique.get(var, low.0, high.0) {
+                return Bdd(idx);
+            }
+        }
+        let first_owned = self.base_len as u32;
         let nodes = &mut self.nodes;
         let idx = self.unique.get_or_insert_with(var, low.0, high.0, || {
-            let idx = nodes.len() as u32;
+            let idx = first_owned + nodes.len() as u32;
             nodes.push(Node {
                 var,
                 low: low.0,
@@ -246,6 +335,17 @@ impl BddManager {
         Bdd(idx)
     }
 
+    /// The node at index `i`, owned or frozen. The owned store is probed
+    /// first with a wrapping offset, so a never-frozen manager pays one
+    /// subtraction over a plain indexed load.
+    #[inline]
+    pub(crate) fn node(&self, i: u32) -> Node {
+        match self.nodes.get((i as usize).wrapping_sub(self.base_len)) {
+            Some(&n) => n,
+            None => self.base.nodes[i as usize],
+        }
+    }
+
     /// Top variable level of `f` together with its low/high children
     /// (children are meaningless for terminals, whose level is
     /// `TERMINAL_LEVEL`). One node load where separate `level_of` +
@@ -253,18 +353,18 @@ impl BddManager {
     /// image-computation workloads, so the hot binary applies use this.
     #[inline]
     pub(crate) fn expand(&self, f: Bdd) -> (u32, Bdd, Bdd) {
-        let n = self.nodes[f.0 as usize];
+        let n = self.node(f.0);
         (n.var, Bdd(n.low), Bdd(n.high))
     }
 
     /// Level of the top variable of `f` (`u32::MAX` for terminals).
     pub(crate) fn level_of(&self, f: Bdd) -> u32 {
-        self.nodes[f.0 as usize].var
+        self.node(f.0).var
     }
 
     /// Cofactors of `f` with respect to its own top variable.
     pub(crate) fn cofactors(&self, f: Bdd, at_level: u32) -> (Bdd, Bdd) {
-        let n = self.nodes[f.0 as usize];
+        let n = self.node(f.0);
         if n.var == at_level {
             (Bdd(n.low), Bdd(n.high))
         } else {
@@ -291,7 +391,7 @@ impl BddManager {
             if !seen.insert(n) {
                 continue;
             }
-            let node = self.nodes[n as usize];
+            let node = self.node(n);
             if node.var != TERMINAL_LEVEL {
                 stack.push(node.low);
                 stack.push(node.high);
@@ -310,7 +410,7 @@ impl BddManager {
             if !seen.insert(n) {
                 continue;
             }
-            let node = self.nodes[n as usize];
+            let node = self.node(n);
             if node.var != TERMINAL_LEVEL {
                 vars.insert(node.var);
                 stack.push(node.low);
@@ -329,7 +429,7 @@ impl BddManager {
     pub fn eval(&self, f: Bdd, assignment: &[bool]) -> bool {
         let mut cur = f.0;
         loop {
-            let node = self.nodes[cur as usize];
+            let node = self.node(cur);
             if node.var == TERMINAL_LEVEL {
                 return cur == 1;
             }
@@ -367,16 +467,18 @@ impl BddManager {
     /// Returns `true` if a collection ran (counted in
     /// [`BddRuntimeStats::gc_collections`]).
     pub fn maybe_gc(&mut self) -> bool {
-        if self.nodes.len() < self.gc_node_floor.saturating_mul(GC_GROWTH_FACTOR) {
+        if self.num_nodes() < self.gc_node_floor.saturating_mul(GC_GROWTH_FACTOR) {
             return false;
         }
         self.clear_caches();
-        self.gc_node_floor = self.nodes.len().max(GC_MIN_NODES);
+        self.gc_node_floor = self.num_nodes().max(GC_MIN_NODES);
         self.stats.gc_collections += 1;
         true
     }
 
-    /// Approximate heap usage of the node store, in bytes. Useful for
+    /// Approximate heap usage of the node store this manager owns, in
+    /// bytes: the nodes built since the last [`BddManager::freeze`], not
+    /// the frozen base it shares with its clones. Useful for
     /// instrumentation in benchmarks.
     pub fn heap_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
@@ -387,7 +489,7 @@ impl fmt::Debug for BddManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BddManager")
             .field("num_vars", &self.num_vars)
-            .field("num_nodes", &self.nodes.len())
+            .field("num_nodes", &self.num_nodes())
             .finish()
     }
 }

@@ -57,9 +57,7 @@ impl TripleMap {
         }
     }
 
-    // Exercised directly by the unit tests below; production probes go
-    // through `insert` / `get_or_insert_with`.
-    #[cfg(test)]
+    #[inline]
     pub(crate) fn get(&self, a: u32, b: u32, c: u32) -> Option<u32> {
         let k0 = pack(a, b);
         let mut idx = (mix(a, b, c) as usize) & self.mask;

@@ -851,8 +851,11 @@ fn sat_mul(a: u128, b: u128) -> u128 {
 /// Transfer flips are judged by `k`-step distinguishability of the wrong
 /// next state (the same product-machine recursion as
 /// [`PairFsm::forall_k`]); the per-flip work is sharded over
-/// `cfg.jobs` threads with one cloned manager per shard and merged in
-/// shard order, so the report is identical at any job count.
+/// `cfg.jobs` threads and merged in shard order, so the report is
+/// identical at any job count. The prep freezes the pair machine's
+/// manager, so each shard forks its own manager off that frozen base in
+/// constant time: it shares every prepared node, owns only the nodes its
+/// flips build, and starts with fresh operation caches.
 pub fn run_implicit_campaign(
     netlist: &Netlist,
     valid: impl FnOnce(&mut PairFsm) -> Bdd,
@@ -1007,35 +1010,50 @@ mod tests {
         assert_outcomes_match(&n, &random_tests(11, 4));
     }
 
+    /// A seeded random netlist: `gates` and/or/xor/not gates over the
+    /// inputs and latch outputs, with latch next-states and outputs drawn
+    /// from the whole signal pool.
+    fn random_netlist(
+        seed: u64,
+        inputs: usize,
+        latches: usize,
+        gates: usize,
+        outputs: usize,
+    ) -> Netlist {
+        let mut rng = Prng::seed_from_u64(seed);
+        let mut n = Netlist::new();
+        let inputs: Vec<_> = (0..inputs).map(|i| n.add_input(format!("i{i}"))).collect();
+        let latches: Vec<_> = (0..latches)
+            .map(|i| n.add_latch(format!("q{i}"), rng.gen_bool(0.5)))
+            .collect();
+        let louts: Vec<_> = latches.iter().map(|&l| n.latch_output(l)).collect();
+        let mut pool: Vec<_> = inputs.iter().chain(louts.iter()).copied().collect();
+        for _ in 0..gates {
+            let a = pool[rng.gen_range(0..pool.len() as u32) as usize];
+            let b = pool[rng.gen_range(0..pool.len() as u32) as usize];
+            let g = match rng.gen_range(0..4u32) {
+                0 => n.and(a, b),
+                1 => n.or(a, b),
+                2 => n.xor(a, b),
+                _ => n.not(a),
+            };
+            pool.push(g);
+        }
+        for &l in &latches {
+            let s = pool[rng.gen_range(0..pool.len() as u32) as usize];
+            n.set_latch_next(l, s);
+        }
+        for o in 0..outputs {
+            let s = pool[rng.gen_range(0..pool.len() as u32) as usize];
+            n.add_output(format!("o{o}"), s);
+        }
+        n
+    }
+
     #[test]
     fn symbolic_outcomes_match_naive_on_random_netlists() {
         for seed in 0..6u64 {
-            let mut rng = Prng::seed_from_u64(seed);
-            let mut n = Netlist::new();
-            let inputs: Vec<_> = (0..2).map(|i| n.add_input(format!("i{i}"))).collect();
-            let latches: Vec<_> = (0..4)
-                .map(|i| n.add_latch(format!("q{i}"), rng.gen_bool(0.5)))
-                .collect();
-            let louts: Vec<_> = latches.iter().map(|&l| n.latch_output(l)).collect();
-            let mut pool: Vec<_> = inputs.iter().chain(louts.iter()).copied().collect();
-            for _ in 0..12 {
-                let a = pool[rng.gen_range(0..pool.len() as u32) as usize];
-                let b = pool[rng.gen_range(0..pool.len() as u32) as usize];
-                let g = match rng.gen_range(0..4u32) {
-                    0 => n.and(a, b),
-                    1 => n.or(a, b),
-                    2 => n.xor(a, b),
-                    _ => n.not(a),
-                };
-                pool.push(g);
-            }
-            for &l in &latches {
-                let s = pool[rng.gen_range(0..pool.len() as u32) as usize];
-                n.set_latch_next(l, s);
-            }
-            let o = pool[rng.gen_range(0..pool.len() as u32) as usize];
-            n.add_output("o", o);
-            let n = simcov_netlist::transform::sweep(&n);
+            let n = simcov_netlist::transform::sweep(&random_netlist(seed, 2, 4, 12, 1));
             if n.num_latches() == 0 || n.num_inputs() == 0 {
                 continue;
             }
@@ -1102,5 +1120,39 @@ mod tests {
         let b = run_implicit_campaign(&n, |_| Bdd::TRUE, &ImplicitConfig { k: 8, jobs: 8 });
         assert_eq!(format!("{a}"), format!("{b}"));
         assert_eq!(a.sym, b.sym);
+    }
+
+    #[test]
+    fn implicit_report_is_job_count_invariant_on_a_wide_model() {
+        // Wider than the 16-input explicit limit: the regime where the
+        // CLI takes the implicit path.
+        for seed in 0..3u64 {
+            let n = random_netlist(seed, 20, 6, 60, 3);
+            let run = |jobs| {
+                run_implicit_campaign(
+                    &n,
+                    |pf| {
+                        // A constrained alphabet: i0 and i1 never both high.
+                        let (a, b) = (pf.input_var(0), pf.input_var(1));
+                        let (a, b) = (pf.mgr().var(a.level()), pf.mgr().var(b.level()));
+                        let both = pf.mgr().and(a, b);
+                        pf.mgr().not(both)
+                    },
+                    &ImplicitConfig { k: 3, jobs },
+                )
+            };
+            let one = run(1);
+            assert!(one.transfer_faults > 0, "seed {seed}");
+            assert_eq!(one.sym.shard_managers, 1 + n.num_latches() as u64);
+            for jobs in [2usize, 8] {
+                let many = run(jobs);
+                assert_eq!(
+                    format!("{one}"),
+                    format!("{many}"),
+                    "seed {seed} jobs {jobs}"
+                );
+                assert_eq!(one.sym, many.sym, "seed {seed} jobs {jobs}");
+            }
+        }
     }
 }

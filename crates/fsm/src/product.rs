@@ -44,9 +44,11 @@ pub struct PairAnalysisResult {
 /// everything that does not depend on which latch the fault flips, shared
 /// across the per-latch queries of [`PairFsm::transfer_flip_detectable`].
 ///
-/// Cloning the owning [`PairFsm`] *after* building the prep (both are
-/// `Clone`) gives shard workers independent managers with identical handle
-/// spaces, so the prep's BDD handles stay valid in every clone.
+/// Building the prep freezes the owning [`PairFsm`]'s manager (see
+/// [`BddManager::freeze`]). A clone made afterwards shares every node
+/// built so far with it and owns only the nodes it builds itself plus
+/// fresh operation caches, so shard workers fork in constant time, and
+/// the prep's BDD handles stay valid in every clone.
 #[derive(Debug, Clone)]
 pub struct TransferDetectPrep {
     /// Reachable states of the golden machine (over copy-A current-state
@@ -416,6 +418,9 @@ impl PairFsm {
     /// detectability analysis: golden reachability, the reachable-cell
     /// relation, and the `k`-step output-equality escape relation over
     /// successor pairs. See [`PairFsm::transfer_flip_detectable`].
+    ///
+    /// Ends by freezing the manager, so clones of this machine share the
+    /// prepared nodes instead of copying them.
     pub fn transfer_detect_prep(&mut self, init: &[bool], k: usize) -> TransferDetectPrep {
         assert_eq!(init.len(), self.num_latches, "init width mismatch");
         let (bad, fixed_point) = self.equal_output_pairs(k);
@@ -433,6 +438,7 @@ impl PairFsm {
         let escape_next = self.mgr.rename(bad, &map);
         let reached = self.reachable_a(init);
         let reachable_cells_set = self.mgr.and(reached, self.valid);
+        self.mgr.freeze();
         TransferDetectPrep {
             reached,
             reachable_cells_set,
@@ -568,6 +574,23 @@ mod tests {
                                  // Output reveals q only when probe=1.
         let o = n.and(qo, probe);
         n.add_output("o", o);
+        n
+    }
+
+    /// A 3-latch shifter with a partially hidden output.
+    fn shifter() -> Netlist {
+        let mut n = Netlist::new();
+        let a = n.add_input("a");
+        let q0 = n.add_latch("q0", false);
+        let q1 = n.add_latch("q1", false);
+        let q2 = n.add_latch("q2", false);
+        let o0 = n.latch_output(q0);
+        let o1 = n.latch_output(q1);
+        let o2 = n.latch_output(q2);
+        n.set_latch_next(q0, a);
+        n.set_latch_next(q1, o0);
+        n.set_latch_next(q2, o1);
+        n.add_output("tap", o2);
         n
     }
 
@@ -762,15 +785,27 @@ mod tests {
     }
 
     /// The prep survives cloning the pair machine: clones answer the same
-    /// per-latch queries (the shard-worker pattern of the symbolic engine).
+    /// per-latch queries (the shard-worker pattern of the symbolic engine),
+    /// and a clone made right after the prep shares its nodes instead of
+    /// copying them.
     #[test]
     fn transfer_prep_valid_in_clones() {
-        let n = lookalike();
-        let mut pf = PairFsm::from_netlist(&n);
-        let prep = pf.transfer_detect_prep(&[false], 2);
-        let direct = pf.transfer_flip_detectable(&prep, 0);
-        let mut clone = pf.clone();
-        assert_eq!(clone.transfer_flip_detectable(&prep, 0), direct);
+        for n in [lookalike(), shifter()] {
+            let mut pf = PairFsm::from_netlist(&n);
+            let prep = pf.transfer_detect_prep(&n.initial_state(), 2);
+            // Every node is three `u32` words.
+            let parent_bytes = pf.mgr_ref().num_nodes() * std::mem::size_of::<[u32; 3]>();
+            let mut clones = vec![pf.clone(), pf.clone()];
+            for c in &clones {
+                assert!(c.mgr_ref().heap_bytes() * 100 < parent_bytes);
+            }
+            for flip in 0..n.num_latches() {
+                let direct = pf.transfer_flip_detectable(&prep, flip);
+                for c in &mut clones {
+                    assert_eq!(c.transfer_flip_detectable(&prep, flip), direct);
+                }
+            }
+        }
     }
 
     #[test]
