@@ -198,7 +198,9 @@ USAGE:
 
 OPTIONS:
   --jobs <J>    worker threads for the fault campaign (0 or omitted =
-                all available cores); results are identical for every J
+                automatic: all available cores, or one thread for a
+                small differential campaign); results are identical
+                for every J
   --engine <E>  fault-simulation engine: differential (default; shares
                 the memoized golden trace and replays only divergent
                 suffixes), symbolic (shards walked as BDD relations over

@@ -36,9 +36,12 @@ fn spawn_serve(extra: &[&str]) -> (Child, String) {
     (child, addr)
 }
 
+/// Each job simulates the whole fault universe, so it takes longer than
+/// an admission (an fsync plus the ack). Smaller jobs can all finish
+/// before the last ack arrives, which closes the kill window.
 fn job_payload(id: &str, seed: u64) -> String {
     format!(
-        r#"{{"type":"campaign","id":"{id}","model":{{"dlx":"reduced-obs"}},"max_faults":800,"seed":{seed},"k":1,"engine":"differential"}}"#
+        r#"{{"type":"campaign","id":"{id}","model":{{"dlx":"reduced-obs"}},"max_faults":1000000,"seed":{seed},"k":1,"engine":"differential"}}"#
     )
 }
 

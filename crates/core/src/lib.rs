@@ -98,5 +98,6 @@ pub use symbolic::{
 
 pub use resilient::{
     CampaignError, CoverageBounds, ResilientCampaign, ResilientRun, ShardFailure, StopReason,
+    DIFFERENTIAL_SERIAL_CUTOFF,
 };
 pub use theorems::{certify_completeness, CompletenessCertificate, CompletenessViolation};

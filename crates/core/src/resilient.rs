@@ -874,7 +874,9 @@ pub struct ResilientRun {
     pub total_faults: usize,
     /// Total shards in the partition.
     pub total_shards: usize,
-    /// Worker threads the run was configured with.
+    /// Worker threads the run used: the count set with
+    /// [`ResilientCampaign::jobs`], or the automatic choice (see
+    /// [`DIFFERENTIAL_SERIAL_CUTOFF`]).
     pub jobs: usize,
     /// End-to-end wall time.
     pub wall: Duration,
@@ -906,6 +908,14 @@ enum ShardState {
     Cancelled,
 }
 
+/// Estimated work, in fault-steps (faults × test vectors), below which a
+/// [`Engine::Differential`] campaign with an automatic worker count (no
+/// [`ResilientCampaign::jobs`] call) runs its shards on the calling
+/// thread. Above it, and for the other engines, the automatic count is
+/// [`default_jobs`]. The value and the measurement behind it are in
+/// DESIGN.md §12.
+pub const DIFFERENTIAL_SERIAL_CUTOFF: u64 = 4_000_000;
+
 /// A fault campaign: the golden machine, the fault list, the test set,
 /// the engine and the execution knobs, run on the sharded, supervised
 /// pipeline. See the [module docs](self) for the failure model.
@@ -928,7 +938,8 @@ pub struct ResilientCampaign<'a> {
     golden: &'a ExplicitMealy,
     faults: &'a [Fault],
     tests: &'a TestSet,
-    jobs: usize,
+    /// `None` = automatic (see [`DIFFERENTIAL_SERIAL_CUTOFF`]).
+    jobs: Option<usize>,
     shard_size: usize,
     max_retries: usize,
     deadline: Option<Duration>,
@@ -952,7 +963,7 @@ impl<'a> ResilientCampaign<'a> {
             golden,
             faults,
             tests,
-            jobs: default_jobs(),
+            jobs: None,
             shard_size: default_shard_size(faults.len()),
             max_retries: 2,
             deadline: None,
@@ -1025,8 +1036,10 @@ impl<'a> ResilientCampaign<'a> {
     /// a zero-worker pool cannot make progress, and silently treating `0`
     /// as "automatic" would make `jobs(0)` mean something different from
     /// every other value. Use [`default_jobs`] explicitly for "all cores".
+    /// A count set here is always honoured; left unset, the count is
+    /// automatic (see [`DIFFERENTIAL_SERIAL_CUTOFF`]).
     pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+        self.jobs = Some(jobs.max(1));
         self
     }
 
@@ -1322,9 +1335,22 @@ impl<'a> ResilientCampaign<'a> {
         )
         .expect("Engine::Symbolic requires ResilientCampaign::symbolic(ctx)");
 
+        // An automatic worker count keeps small differential campaigns
+        // on this thread, where worker spawns cost more than they save.
+        // The partition depends only on the fault count, so the choice
+        // changes no result.
+        let jobs = self.jobs.unwrap_or_else(|| {
+            let work = (sim_faults.len() as u64).saturating_mul(cost);
+            if self.engine == Engine::Differential && work < DIFFERENTIAL_SERIAL_CUTOFF {
+                1
+            } else {
+                default_jobs()
+            }
+        });
+
         // Restored shards come back as `None`; every other shard yields
         // its state plus a journal note when its record was not written.
-        let attempted = run_sharded(sim_faults, self.shard_size, self.jobs, |i, shard| {
+        let attempted = run_sharded(sim_faults, self.shard_size, jobs, |i, shard| {
             if restored[i].is_some() {
                 return None;
             }
@@ -1457,7 +1483,7 @@ impl<'a> ResilientCampaign<'a> {
             },
             total_faults: sim_faults.len(),
             total_shards: nshards,
-            jobs: self.jobs,
+            jobs,
             wall: t0.elapsed(),
             diff,
             sym,
@@ -1631,6 +1657,7 @@ mod tests {
                 .run()
                 .unwrap();
             assert!(run.is_complete);
+            assert_eq!(run.jobs, jobs, "an explicit count is honoured");
             assert_eq!(run.stopped, None);
             assert_eq!(run.report, serial, "jobs={jobs}");
             assert_eq!(run.stats.faults_simulated, faults.len());

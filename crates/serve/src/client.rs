@@ -49,10 +49,9 @@ impl From<std::io::Error> for ClientError {
 impl Client {
     /// Connects to a server at `addr` (`host:port`).
     pub fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
         Ok(Client {
             addr: addr.to_string(),
-            stream,
+            stream: open(addr)?,
         })
     }
 
@@ -75,7 +74,7 @@ impl Client {
     }
 
     fn reconnect(&mut self) -> std::io::Result<()> {
-        self.stream = TcpStream::connect(&self.addr)?;
+        self.stream = open(&self.addr)?;
         Ok(())
     }
 
@@ -153,6 +152,15 @@ impl Client {
     }
 }
 
+/// Opens a connection with `TCP_NODELAY` set: a request frame leaves at
+/// once instead of waiting behind the server's delayed ACK of the
+/// previous one (DESIGN.md §14).
+fn open(addr: &str) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 /// Builds a `query` request for `id`.
 pub fn query(id: &str) -> String {
     format!(
@@ -169,4 +177,20 @@ pub fn stats() -> String {
 /// Builds a `shutdown` request.
 pub fn shutdown() -> String {
     r#"{"type":"shutdown"}"#.to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connect_and_reconnect_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut client = Client::connect(&addr).unwrap();
+        assert!(client.stream.nodelay().unwrap(), "after connect");
+        client.reconnect().unwrap();
+        assert!(client.stream.nodelay().unwrap(), "after reconnect");
+    }
 }

@@ -137,7 +137,10 @@ pub struct CampaignOpts {
     pub seed: u64,
     /// Cyclic tour extension (`--k`).
     pub k: usize,
-    /// Worker threads; 0 = all available cores (`--jobs`).
+    /// Worker threads; 0 = automatic: all available cores, or one for
+    /// a differential campaign below
+    /// [`DIFFERENTIAL_SERIAL_CUTOFF`](simcov_core::DIFFERENTIAL_SERIAL_CUTOFF)
+    /// (`--jobs`).
     pub jobs: usize,
     /// Retry budget per panicking shard (`--max-retries`).
     pub max_retries: usize,
@@ -212,8 +215,8 @@ pub struct CloseOpts {
     pub rounds: usize,
     /// Soft test-step budget across all rounds (`--budget`).
     pub budget: Option<u64>,
-    /// Worker threads; 0 = all available cores (`--jobs`). The closure
-    /// schedule and report are identical for any value.
+    /// Worker threads; 0 = automatic, as for campaign jobs (`--jobs`).
+    /// The closure schedule and report are identical for any value.
     pub jobs: usize,
     /// Fault-simulation engine for every round (`--engine`).
     pub engine: Engine,
@@ -546,18 +549,16 @@ fn execute_campaign(
                 .map_err(|e| JobError::runtime(format!("collapse analysis failed: {e}")))?,
         ),
     };
-    // The supervisor clamps jobs(0) to serial, so the CLI's "0 = all
-    // cores" convention is resolved here.
-    let jobs = if opts.jobs == 0 {
-        default_jobs()
-    } else {
-        opts.jobs
-    };
     let mut campaign = ResilientCampaign::new(&m, &faults, &tests)
         .engine(engine)
-        .jobs(jobs)
         .max_retries(opts.max_retries)
         .telemetry(tel.clone());
+    // `--jobs 0` leaves the worker count to the pipeline, which keeps
+    // small differential campaigns on this thread; the supervisor itself
+    // clamps jobs(0) to serial.
+    if opts.jobs > 0 {
+        campaign = campaign.jobs(opts.jobs);
+    }
     if let Some(trace) = &shared_trace {
         campaign = campaign.golden_trace(Arc::clone(trace));
     }

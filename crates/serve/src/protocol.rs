@@ -114,14 +114,20 @@ pub fn read_frame(r: &mut impl Read) -> Result<Json, FrameError> {
 }
 
 /// Writes one frame carrying `payload` (already-serialized JSON).
+///
+/// Header and payload go out in a single `write_all`: written apart, the
+/// small header leaves as its own segment and Nagle's algorithm holds
+/// the payload until the peer's delayed ACK (DESIGN.md §14).
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
     let bytes = payload.as_bytes();
     debug_assert!(
         bytes.len() <= MAX_FRAME_BYTES,
         "server produced an oversized frame"
     );
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -381,6 +387,44 @@ mod tests {
     fn frames_roundtrip() {
         let v = roundtrip(r#"{"type":"stats"}"#).unwrap();
         assert_eq!(v.get("type").and_then(Json::as_str), Some("stats"));
+    }
+
+    /// A sink that accepts every byte and counts the `write` calls that
+    /// delivered them.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let big = format!(r#"{{"pad":"{}"}}"#, "x".repeat(100_000));
+        for payload in ["", r#"{"type":"stats"}"#, big.as_str()] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(
+                w.writes,
+                1,
+                "a {}-byte frame took {} writes",
+                payload.len(),
+                w.writes
+            );
+            assert_eq!(w.bytes[..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(&w.bytes[4..], payload.as_bytes());
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use simcov_obs::fnv::Fnv64;
 use simcov_obs::json::{self, Json};
 use simcov_obs::{names, Telemetry};
 use simcov_prng::Prng;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -46,9 +46,16 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Golden-trace cache bound (traces, not bytes).
     pub cache_capacity: usize,
-    /// Completed-result retention bound (results beyond it evict
-    /// oldest-first; evicted ids answer `query` with an error).
-    pub results_capacity: usize,
+    /// Completed-result retention bound in bytes: each stored result
+    /// costs its frame plus its id. Results already written to their
+    /// connection are evicted first, oldest first, while the store
+    /// exceeds the budget. Undelivered results (the write failed, the
+    /// job has no connection, or the result was restored from the
+    /// journal) are evicted, oldest first, only while they alone exceed
+    /// the budget, so a client that reconnects to `query` finds its
+    /// result. The newest result always stays, however large. An evicted
+    /// id answers `query` with an `unknown job id` error.
+    pub results_budget_bytes: usize,
     /// Retry budget per job; a job panicking on every attempt is
     /// quarantined.
     pub max_retries: usize,
@@ -75,7 +82,7 @@ impl Default for ServerConfig {
             workers: 0,
             queue_capacity: 256,
             cache_capacity: 8,
-            results_capacity: 4096,
+            results_budget_bytes: 256 * 1024,
             max_retries: 2,
             backoff_base_ms: 1,
             seed: 0,
@@ -126,15 +133,139 @@ struct QueuedJob {
     reply: Option<Arc<Mutex<TcpStream>>>,
 }
 
+/// How far a stored result got towards its client.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delivery {
+    /// Stored; its worker is about to write it to the connection.
+    Sending,
+    /// Written to its connection, or fetched by `query`.
+    Delivered,
+    /// Not written: the write failed, or the job has no connection
+    /// (journal-restored results and re-queued jobs). Kept for `query`.
+    Parked,
+}
+
+struct Stored {
+    frame: String,
+    delivery: Delivery,
+}
+
+/// Completed result frames kept for `query`, bounded by bytes (frame
+/// plus id). Delivered results are evicted oldest first while the store
+/// exceeds its budget. Parked results are evicted oldest first only
+/// while they alone exceed it, so new traffic cannot push out a result
+/// a client has yet to fetch. A result still being sent is never
+/// evicted, and neither is the newest result.
 struct ResultStore {
-    by_id: HashMap<String, String>,
-    order: Vec<String>,
+    by_id: HashMap<String, Stored>,
+    /// Ids oldest first; each id appears once.
+    order: VecDeque<String>,
+    /// Bytes of every stored result.
+    bytes: usize,
+    /// Bytes of the parked results alone.
+    parked_bytes: usize,
+    budget: usize,
+}
+
+impl ResultStore {
+    fn new(budget: usize) -> ResultStore {
+        ResultStore {
+            by_id: HashMap::new(),
+            order: VecDeque::new(),
+            bytes: 0,
+            parked_bytes: 0,
+            budget,
+        }
+    }
+
+    /// Stores `frame` as the newest result. Re-storing an id replaces
+    /// its frame and makes it the newest, so its bytes count once.
+    fn insert(&mut self, id: &str, frame: String, delivery: Delivery) {
+        if self.by_id.contains_key(id) {
+            self.order.retain(|o| o != id);
+            self.forget(id);
+        }
+        self.order.push_back(id.to_string());
+        self.by_id
+            .insert(id.to_string(), Stored { frame, delivery });
+        self.account(id, delivery, true);
+        self.evict();
+    }
+
+    /// Records how delivery of `id`'s result went.
+    fn settle(&mut self, id: &str, delivery: Delivery) {
+        let Some(was) = self.by_id.get(id).map(|s| s.delivery) else {
+            return;
+        };
+        self.account(id, was, false);
+        self.by_id.get_mut(id).expect("present").delivery = delivery;
+        self.account(id, delivery, true);
+        self.evict();
+    }
+
+    /// Adds (or, with `add` false, removes) `id`'s bytes to the totals
+    /// its `delivery` state counts in.
+    fn account(&mut self, id: &str, delivery: Delivery, add: bool) {
+        let cost = id.len() + self.by_id[id].frame.len();
+        let parked = if delivery == Delivery::Parked {
+            cost
+        } else {
+            0
+        };
+        if add {
+            self.bytes += cost;
+            self.parked_bytes += parked;
+        } else {
+            self.bytes -= cost;
+            self.parked_bytes -= parked;
+        }
+    }
+
+    /// Drops `id` from `by_id` and the totals (not from `order`).
+    fn forget(&mut self, id: &str) {
+        let delivery = self.by_id[id].delivery;
+        self.account(id, delivery, false);
+        self.by_id.remove(id);
+    }
+
+    fn evict(&mut self) {
+        while self.parked_bytes > self.budget && self.evict_oldest(Delivery::Parked) {}
+        while self.bytes > self.budget && self.evict_oldest(Delivery::Delivered) {}
+    }
+
+    /// Evicts the oldest result in state `delivery`, other than the
+    /// newest result. Returns whether there was one.
+    fn evict_oldest(&mut self, delivery: Delivery) -> bool {
+        let older = self.order.len().saturating_sub(1);
+        let by_id = &self.by_id;
+        let Some(i) = self
+            .order
+            .iter()
+            .take(older)
+            .position(|id| by_id[id].delivery == delivery)
+        else {
+            return false;
+        };
+        let victim = self.order.remove(i).expect("position is in range");
+        self.forget(&victim);
+        true
+    }
+}
+
+/// Where a job id stands, as `query` answers it.
+#[derive(Debug, PartialEq)]
+enum Lookup {
+    /// Finished: its stored result frame.
+    Done(String),
+    /// Admitted and not yet finished.
+    Pending,
+    /// Never admitted, rejected, or its result was evicted.
+    Unknown,
 }
 
 struct Shared {
     queue: JobQueue<QueuedJob>,
     results: Mutex<ResultStore>,
-    results_capacity: usize,
     in_flight: Mutex<HashSet<String>>,
     quarantined: Mutex<HashSet<u64>>,
     telemetry: Telemetry,
@@ -150,17 +281,33 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl Shared {
-    fn store_result(&self, id: &str, frame: String) {
+    /// Stores a finished job's result, then drops it from `in_flight`
+    /// under the same `results` lock, so [`lookup`](Self::lookup) finds
+    /// an admitted id in one set or the other at every moment.
+    fn store_result(&self, id: &str, frame: String, delivery: Delivery) {
         let mut store = lock(&self.results);
-        if !store.by_id.contains_key(id) {
-            store.order.push(id.to_string());
-            if store.order.len() > self.results_capacity {
-                let victim = store.order.remove(0);
-                store.by_id.remove(&victim);
-            }
-        }
-        store.by_id.insert(id.to_string(), frame);
+        store.insert(id, frame, delivery);
         lock(&self.in_flight).remove(id);
+    }
+
+    /// Looks `id` up in `results`, then `in_flight`, holding the
+    /// `results` lock across both (the lock order `store_result` uses).
+    /// A parked result that `query` finds counts as delivered from then
+    /// on.
+    fn lookup(&self, id: &str) -> Lookup {
+        let mut store = lock(&self.results);
+        if let Some(stored) = store.by_id.get(id) {
+            let frame = stored.frame.clone();
+            if stored.delivery == Delivery::Parked {
+                store.settle(id, Delivery::Delivered);
+            }
+            return Lookup::Done(frame);
+        }
+        if lock(&self.in_flight).contains(id) {
+            Lookup::Pending
+        } else {
+            Lookup::Unknown
+        }
     }
 
     fn journal_write(&self, write: impl FnOnce(&ServerJournal) -> std::io::Result<()>) {
@@ -268,11 +415,7 @@ impl Server {
         );
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_capacity),
-            results: Mutex::new(ResultStore {
-                by_id: HashMap::new(),
-                order: Vec::new(),
-            }),
-            results_capacity: config.results_capacity.max(1),
+            results: Mutex::new(ResultStore::new(config.results_budget_bytes)),
             in_flight: Mutex::new(HashSet::new()),
             quarantined: Mutex::new(HashSet::new()),
             telemetry,
@@ -283,7 +426,7 @@ impl Server {
             config,
         });
         for (id, result) in restored_results {
-            shared.store_result(&id, result);
+            shared.store_result(&id, result, Delivery::Parked);
         }
         Ok(Server {
             listener,
@@ -332,6 +475,10 @@ impl Server {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            // Every frame is one write (`write_frame`), and the server
+            // sends `ack` and `result` back to back: under Nagle the
+            // result would wait for the client's delayed ACK of the ack.
+            let _ = stream.set_nodelay(true);
             if let Ok(clone) = stream.try_clone() {
                 lock(&open_streams).insert(conn_id, clone);
             }
@@ -504,9 +651,14 @@ fn process_job(shared: &Shared, job: QueuedJob) {
             result_frame(&job.spec.id, job.spec.kind.name(), None, &outcome, None)
         }
     };
-    shared.store_result(&job.spec.id, frame.clone());
+    let id = &job.spec.id;
+    let Some(reply) = &job.reply else {
+        shared.store_result(id, frame.clone(), Delivery::Parked);
+        shared.journal_write(|j| j.done(fp, &frame));
+        return;
+    };
+    shared.store_result(id, frame.clone(), Delivery::Sending);
     shared.journal_write(|j| j.done(fp, &frame));
-    let Some(reply) = &job.reply else { return };
     #[cfg(feature = "chaos")]
     if let Some(plan) = &config.chaos {
         if let Some(delay) = plan.slow_client_delay(fp) {
@@ -517,11 +669,19 @@ fn process_job(shared: &Shared, job: QueuedJob) {
             // reconnect and `query`; the stored result makes that safe.
             let stream = lock(reply);
             let _ = stream.shutdown(std::net::Shutdown::Both);
+            lock(&shared.results).settle(id, Delivery::Parked);
             return;
         }
     }
-    let mut stream = lock(reply);
-    let _ = write_frame(&mut *stream, &frame);
+    // A connection whose reader has exited is shut down, so a write to
+    // it fails and the result stays parked for `query`.
+    let sent = write_frame(&mut *lock(reply), &frame).is_ok();
+    let delivery = if sent {
+        Delivery::Delivered
+    } else {
+        Delivery::Parked
+    };
+    lock(&shared.results).settle(id, delivery);
 }
 
 fn connection_loop(shared: &Shared, stream: TcpStream, conn_id: u64) {
@@ -590,16 +750,11 @@ fn connection_loop(shared: &Shared, stream: TcpStream, conn_id: u64) {
                 s.push_str("}}");
                 s
             }
-            Ok(Request::Query { id }) => {
-                let stored = lock(&shared.results).by_id.get(&id).cloned();
-                match stored {
-                    Some(frame) => frame,
-                    None if lock(&shared.in_flight).contains(&id) => {
-                        ack_response(&id, "pending", None)
-                    }
-                    None => error_response(&format!("unknown job id `{id}`")),
-                }
-            }
+            Ok(Request::Query { id }) => match shared.lookup(&id) {
+                Lookup::Done(frame) => frame,
+                Lookup::Pending => ack_response(&id, "pending", None),
+                Lookup::Unknown => error_response(&format!("unknown job id `{id}`")),
+            },
             Ok(Request::Shutdown) => {
                 // Ack *before* unblocking the acceptor: the drain path
                 // shuts every open stream, and the requester must see
@@ -669,5 +824,257 @@ fn connection_loop(shared: &Shared, stream: TcpStream, conn_id: u64) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{self, Client};
+    use std::sync::atomic::AtomicUsize;
+
+    fn frame(len: usize) -> String {
+        "x".repeat(len)
+    }
+
+    fn ids(store: &ResultStore) -> Vec<&str> {
+        store.order.iter().map(String::as_str).collect()
+    }
+
+    fn stored_bytes(store: &ResultStore) -> usize {
+        let bytes = store.by_id.iter().map(|(id, s)| id.len() + s.frame.len());
+        let parked = store
+            .by_id
+            .iter()
+            .filter(|(_, s)| s.delivery == Delivery::Parked)
+            .map(|(id, s)| id.len() + s.frame.len());
+        assert_eq!(store.parked_bytes, parked.sum::<usize>());
+        assert_eq!(store.order.len(), store.by_id.len());
+        bytes.sum()
+    }
+
+    #[test]
+    fn store_evicts_oldest_first_within_the_budget() {
+        let mut store = ResultStore::new(100);
+        for id in ["a", "b", "c", "d", "e", "f"] {
+            store.insert(id, frame(20), Delivery::Delivered);
+        }
+        // 21 bytes each: four fit in 100, five do not.
+        assert_eq!(ids(&store), ["c", "d", "e", "f"]);
+        assert_eq!(store.bytes, 84);
+        assert_eq!(store.bytes, stored_bytes(&store));
+        assert!(!store.by_id.contains_key("b"));
+    }
+
+    #[test]
+    fn store_keeps_a_frame_larger_than_the_budget() {
+        let mut store = ResultStore::new(100);
+        store.insert("a", frame(20), Delivery::Delivered);
+        store.insert("big", frame(1000), Delivery::Delivered);
+        assert_eq!(ids(&store), ["big"]);
+        assert_eq!(store.bytes, 1003);
+        store.insert("b", frame(20), Delivery::Delivered);
+        assert_eq!(
+            ids(&store),
+            ["b"],
+            "the next store evicts the oversized one"
+        );
+    }
+
+    #[test]
+    fn restoring_an_id_counts_its_bytes_once() {
+        let mut store = ResultStore::new(100);
+        store.insert("a", frame(20), Delivery::Delivered);
+        store.insert("b", frame(20), Delivery::Delivered);
+        store.insert("a", frame(30), Delivery::Parked);
+        assert_eq!(ids(&store), ["b", "a"], "a re-stored id becomes the newest");
+        assert_eq!(store.bytes, 21 + 31);
+        assert_eq!(store.bytes, stored_bytes(&store));
+        assert_eq!(store.by_id["a"].frame.len(), 30);
+        // Filling up evicts `b`; the parked `a` fits the budget alone.
+        store.insert("c", frame(40), Delivery::Delivered);
+        store.insert("d", frame(40), Delivery::Delivered);
+        assert_eq!(ids(&store), ["a", "d"]);
+        assert_eq!(store.bytes, stored_bytes(&store));
+    }
+
+    #[test]
+    fn undelivered_results_outlive_an_oversized_frame() {
+        let mut store = ResultStore::new(100);
+        store.insert("parked", frame(20), Delivery::Parked);
+        store.insert("a", frame(20), Delivery::Delivered);
+        store.insert("b", frame(20), Delivery::Sending);
+        // A frame over the whole budget, still being sent, pushes out
+        // every delivered result and nothing else.
+        store.insert("big", frame(1000), Delivery::Sending);
+        assert_eq!(ids(&store), ["parked", "b", "big"]);
+        store.settle("big", Delivery::Delivered);
+        store.settle("b", Delivery::Delivered);
+        assert_eq!(ids(&store), ["parked", "big"], "the newest stays");
+        store.insert("c", frame(20), Delivery::Delivered);
+        assert_eq!(ids(&store), ["parked", "c"]);
+        assert_eq!(store.bytes, stored_bytes(&store));
+    }
+
+    #[test]
+    fn parked_results_are_bounded_by_the_budget_alone() {
+        let mut store = ResultStore::new(100);
+        for id in ["a", "b", "c", "d", "e"] {
+            store.insert(id, frame(20), Delivery::Parked);
+        }
+        assert_eq!(ids(&store), ["b", "c", "d", "e"]);
+        assert_eq!(store.parked_bytes, 84);
+        // A failed write parks a result; a fetched one becomes evictable.
+        store.insert("f", frame(20), Delivery::Sending);
+        store.settle("f", Delivery::Parked);
+        assert_eq!(ids(&store), ["c", "d", "e", "f"]);
+        store.settle("c", Delivery::Delivered);
+        store.insert("g", frame(20), Delivery::Delivered);
+        assert_eq!(ids(&store), ["d", "e", "f", "g"]);
+        assert_eq!(store.bytes, stored_bytes(&store));
+    }
+
+    fn start(config: ServerConfig) -> (String, std::thread::JoinHandle<ServeSummary>) {
+        let server = Server::bind(config).expect("bind");
+        let addr = server.local_addr().expect("local addr").to_string();
+        (
+            addr,
+            std::thread::spawn(move || server.serve().expect("serve")),
+        )
+    }
+
+    fn lint(id: &str) -> String {
+        format!(r#"{{"type":"lint","id":"{id}","model":{{"dlx":"reduced-obs"}},"format":"json"}}"#)
+    }
+
+    #[test]
+    fn evicted_ids_answer_query_with_unknown() {
+        let (addr, handle) = start(ServerConfig {
+            workers: 1,
+            results_budget_bytes: 1,
+            ..ServerConfig::default()
+        });
+        let mut c = Client::connect(&addr).unwrap();
+        for id in ["first", "second"] {
+            let result = c.run_job(&lint(id), id).unwrap();
+            assert_eq!(result.get("status").and_then(Json::as_str), Some("ok"));
+        }
+        let evicted = c.request(&client::query("first")).unwrap();
+        assert_eq!(evicted.get("type").and_then(Json::as_str), Some("error"));
+        assert_eq!(
+            evicted.get("error").and_then(Json::as_str),
+            Some("unknown job id `first`")
+        );
+        let kept = c.request(&client::query("second")).unwrap();
+        assert_eq!(kept.get("type").and_then(Json::as_str), Some("result"));
+        c.request(&client::shutdown()).unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn resumed_server_restores_into_a_bounded_store() {
+        let path = std::env::temp_dir().join(format!(
+            "simcov-serve-bounded-resume-{}.journal",
+            std::process::id()
+        ));
+        let journal = ServerJournal::create(&path).unwrap();
+        for i in 0..64u64 {
+            let result = format!(
+                r#"{{"type":"result","id":"r{i}","status":"ok","exit":0,"output":"{}"}}"#,
+                "y".repeat(1000)
+            );
+            journal.done(i, &result).unwrap();
+        }
+        drop(journal);
+        let server = Server::bind(ServerConfig {
+            journal: Some(path.to_string_lossy().into_owned()),
+            resume: true,
+            results_budget_bytes: 8 * 1024,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        {
+            let store = lock(&server.shared.results);
+            assert!(store.bytes <= 8 * 1024, "{} bytes stored", store.bytes);
+            assert_eq!(store.bytes, stored_bytes(&store));
+            assert_eq!(store.order.back().map(String::as_str), Some("r63"));
+            assert!(!store.by_id.contains_key("r0"));
+        }
+        drop(server);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A client reconnecting to `query` a result it never received must
+    /// find it, even after a traced result larger than the whole budget
+    /// and a stream of other jobs were stored in the meantime.
+    #[test]
+    fn a_parked_result_survives_an_oversized_traced_result() {
+        let path = std::env::temp_dir().join(format!(
+            "simcov-serve-parked-survives-{}.journal",
+            std::process::id()
+        ));
+        let journal = ServerJournal::create(&path).unwrap();
+        let parked = r#"{"type":"result","id":"parked","status":"ok","exit":0,"output":"kept"}"#;
+        journal.done(1, parked).unwrap();
+        drop(journal);
+        let (addr, handle) = start(ServerConfig {
+            workers: 1,
+            journal: Some(path.to_string_lossy().into_owned()),
+            resume: true,
+            results_budget_bytes: 4 * 1024,
+            ..ServerConfig::default()
+        });
+        let mut c = Client::connect(&addr).unwrap();
+        let traced = lint("traced").replace(r#""format""#, r#""trace":true,"format""#);
+        let big = c.run_job(&traced, "traced").unwrap();
+        let big_len: usize = ["output", "trace"]
+            .iter()
+            .map(|k| big.get(k).and_then(Json::as_str).unwrap().len())
+            .sum();
+        assert!(big_len > 4 * 1024, "output and trace are {big_len} bytes");
+        for i in 0..4 {
+            let id = format!("after{i}");
+            c.run_job(&lint(&id), &id).unwrap();
+        }
+        let evicted = c.request(&client::query("traced")).unwrap();
+        assert_eq!(evicted.get("type").and_then(Json::as_str), Some("error"));
+        let mut reconnected = Client::connect(&addr).unwrap();
+        let kept = reconnected.request(&client::query("parked")).unwrap();
+        assert_eq!(kept.get("output").and_then(Json::as_str), Some("kept"));
+        c.request(&client::shutdown()).unwrap();
+        handle.join().unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `query` must never call an admitted job unknown: pollers chasing
+    /// the job being completed race `store_result` on every id.
+    #[test]
+    fn lookup_never_misses_a_completing_job() {
+        let server = Server::bind(ServerConfig::default()).unwrap();
+        let shared = &server.shared;
+        let ids: Vec<String> = (0..20_000).map(|i| format!("job{i}")).collect();
+        lock(&shared.in_flight).extend(ids.iter().cloned());
+        let completed = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for id in &ids {
+                    shared.store_result(id, frame(16), Delivery::Sending);
+                    lock(&shared.results).settle(id, Delivery::Delivered);
+                    completed.fetch_add(1, Ordering::Release);
+                }
+            });
+            // More pollers than cores: a poller preempted between its
+            // two checks is what opens the window.
+            for _ in 0..4 {
+                scope.spawn(|| loop {
+                    let next = completed.load(Ordering::Acquire);
+                    let Some(id) = ids.get(next) else { break };
+                    let answer = shared.lookup(id);
+                    assert_ne!(answer, Lookup::Unknown, "{id} answered unknown");
+                });
+            }
+        });
+        assert_eq!(shared.lookup("job19999"), Lookup::Done(frame(16)));
+        assert_eq!(shared.lookup("never-submitted"), Lookup::Unknown);
     }
 }
