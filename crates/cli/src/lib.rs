@@ -1,21 +1,7 @@
 //! Library half of the `simcov` command-line tool: every subcommand is a
 //! function from parsed arguments to a printable report, so the whole
-//! surface is unit-testable without spawning processes.
-//!
-//! ```text
-//! simcov stats <model.blif>                 netlist + symbolic statistics
-//! simcov tour <model.blif> [--greedy|--state]   generate a tour
-//! simcov distinguish <model.blif> --k <K>   symbolic forall-k analysis
-//! simcov campaign <model.blif> [--max-faults N] [--seed S]
-//! simcov dot <model.blif>                   reachable FSM as Graphviz
-//! simcov normalize <model.blif>             parse + re-emit BLIF
-//! simcov dlx <fig3a|fig3b|final|reduced>    export the case-study models
-//! simcov lint <model.blif>|--dlx <name>     coded static diagnostics
-//! simcov analyze <model.blif>|--dlx <name>  static fault collapsing
-//! simcov close <model.blif>|--dlx <name>    coverage-directed closure
-//! simcov serve [--addr H:P] [--workers N]   multi-tenant job server
-//! simcov submit <addr> <jobs.jsonl>         submit jobs to a server
-//! ```
+//! surface is unit-testable without spawning processes. [`usage`] lists
+//! the subcommands and their flags.
 //!
 //! Models are sequential BLIF files (the SIS interchange format; see
 //! [`simcov_netlist::blif`]). Explicit-machine commands (`tour`,
@@ -23,26 +9,28 @@
 //! and are guarded to 16 primary inputs; `stats` and `distinguish` work
 //! symbolically and scale much further.
 //!
-//! The job-shaped subcommands (`campaign`, `tour`, `lint`, `analyze`,
-//! `close`) delegate to [`simcov_serve::jobs`], the execution layer shared with
-//! `simcov serve` — a served job and its single-shot subcommand run the
-//! same function, so their reports are byte-identical by construction.
-//! Exit codes follow the uniform [`ExitStatus`] contract: 0 ok, 1
-//! error, 2 usage, 3 valid-but-partial.
+//! Every subcommand's arguments are read through an option table
+//! ([`simcov_serve::options`]): an unknown flag, a flag missing its
+//! value, a mistyped value or a single-valued flag given twice is a
+//! usage error (exit 2), and the usage text is generated from the same
+//! tables. The job-shaped subcommands (`campaign`, `tour`, `lint`,
+//! `analyze`, `close`) read the table their wire requests are read
+//! through and run [`simcov_serve::jobs::execute`], the function
+//! `simcov serve` runs — so their reports are byte-identical to served
+//! ones by construction. Exit codes follow the uniform [`ExitStatus`]
+//! contract: 0 ok, 1 error, 2 usage, 3 valid-but-partial.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use simcov_core::Engine;
-use simcov_fsm::{ExplicitMealy, PairFsm, SymbolicFsm};
+use simcov_fsm::{PairFsm, SymbolicFsm};
 use simcov_netlist::Netlist;
 use simcov_obs::Telemetry;
-use simcov_serve::jobs::{self, JobKind, JobSpec, ModelSource};
+use simcov_serve::jobs::{self, AuditPolicy, JobKind, JobSpec, ModelSource};
+use simcov_serve::options::{read_argv, JobCommand, On, Opt, Slot, JOB_COMMANDS};
 use simcov_serve::{Client, ExecCtx, JobError, Server, ServerConfig};
-use simcov_tour::TourKind;
 use std::fmt::Write as _;
 
-pub use simcov_serve::jobs::{AnalyzeOpts, CampaignOpts, CloseOpts, SeverityOverrides};
 pub use simcov_serve::ExitStatus;
 
 /// A CLI failure: message plus suggested exit code.
@@ -114,9 +102,8 @@ impl From<String> for CmdOutput {
     }
 }
 
-/// Observability options shared by `campaign`, `tour` and `lint`:
-/// `--trace-out <FILE>` (deterministic JSONL trace) and `--metrics`
-/// (human table on stderr).
+/// Observability options of the job subcommands: `--trace-out <FILE>`
+/// (deterministic JSONL trace) and `--metrics` (human table on stderr).
 #[derive(Debug, Clone, Default)]
 pub struct ObsOpts {
     /// Write the deterministic JSONL trace here (`--trace-out`).
@@ -126,17 +113,6 @@ pub struct ObsOpts {
 }
 
 impl ObsOpts {
-    fn parse(rest: &[&String]) -> ObsOpts {
-        ObsOpts {
-            trace_out: rest
-                .iter()
-                .position(|a| a.as_str() == "--trace-out")
-                .and_then(|i| rest.get(i + 1))
-                .map(|s| s.to_string()),
-            metrics: rest.iter().any(|a| a.as_str() == "--metrics"),
-        }
-    }
-
     /// Finalizes a command's telemetry: writes the JSONL trace and/or
     /// attaches the metrics table, per the flags.
     fn finish(&self, telemetry: &Telemetry, out: &mut CmdOutput) -> Result<(), CliError> {
@@ -155,149 +131,129 @@ impl ObsOpts {
     }
 }
 
-/// The usage text, with the engine names filled in from
-/// [`Engine::names`].
+/// The usage text, generated from the option tables: a synopsis per
+/// subcommand, one help line per distinct option (defaults read from
+/// the options' `Default` impls) and each job kind's wire fields.
 pub fn usage() -> String {
-    USAGE_TEMPLATE.replace("{ENGINES}", &Engine::names())
+    let mut u = Usage::default();
+    u.add("stats", &[PATH], None);
+    u.add("distinguish", &[DISTINGUISH], DistinguishArgs::default());
+    u.add("dot", &[PATH], None);
+    u.add("normalize", &[PATH], None);
+    u.add("dlx", &[DLX_NAME], None);
+    for job in JOB_COMMANDS {
+        u.add(job.name, job.tables, job.args());
+    }
+    u.add("serve", &[SERVE], ServeArgs::default());
+    u.add("submit", &[SUBMIT], SubmitArgs::default());
+    let mut text = format!(
+        "simcov — validation methodology using simulation coverage (DAC'97)\n\n\
+         USAGE:\n{}\nOPTIONS:\n{}\n\n\
+         REQUEST FIELDS (simcov serve; one JSON object per job, `type` names the kind):\n",
+        u.synopsis,
+        u.options.join("\n")
+    );
+    for job in JOB_COMMANDS {
+        let wire = job
+            .tables
+            .iter()
+            .copied()
+            .flatten()
+            .filter(|o| o.on != On::Cli);
+        let fields: Vec<&str> = wire.map(|o| o.field).collect();
+        text.push_str(&help_entry(job.name, &fields.join(" ")));
+        text.push('\n');
+    }
+    text.push('\n');
+    text.push_str(EXIT_CODES);
+    text
 }
 
-const USAGE_TEMPLATE: &str = "\
-simcov — validation methodology using simulation coverage (DAC'97)
+/// Usage text under construction.
+#[derive(Default)]
+struct Usage {
+    synopsis: String,
+    options: Vec<String>,
+}
 
-USAGE:
-  simcov stats <model.blif>
-  simcov tour <model.blif> [--greedy | --state] [--trace-out <FILE>] [--metrics]
-  simcov distinguish <model.blif> --k <K> [--all-pairs]
-  simcov campaign <model.blif> [--max-faults <N>] [--seed <S>] [--k <K>] [--jobs <J>]
-                  [--engine {ENGINES}]
-                  [--collapse off|on|verify]
-                  [--deadline <MS>] [--max-steps <N>] [--max-retries <R>]
-                  [--checkpoint <FILE>] [--resume]
-                  [--trace-out <FILE>] [--metrics]
-  simcov campaign --dlx <name> [same options]
-  simcov dot <model.blif>
-  simcov normalize <model.blif>
-  simcov dlx <fig3a | fig3b | final | reduced | reduced-obs>
-  simcov lint <model.blif> [--format text|json] [--deny C]... [--warn C]... [--allow C]... [--k <K>]
-              [--trace-out <FILE>] [--metrics]
-  simcov lint --dlx <name> [same options]
-  simcov analyze <model.blif> [--max-faults <N>] [--seed <S>] [--max-nodes <N>]
-                 [--format text|json] [--deny C]... [--warn C]... [--allow C]...
-                 [--trace-out <FILE>] [--metrics]
-  simcov analyze --dlx <name> [same options]
-  simcov close <model.blif> [--max-faults <N>] [--seed <S>] [--rounds <R>]
-               [--budget <STEPS>] [--jobs <J>]
-               [--engine {ENGINES}] [--collapse off|on]
-               [--format text|json] [--trace-out <FILE>] [--metrics]
-  simcov close --dlx <name> [same options]
-  simcov serve [--addr <HOST:PORT>] [--workers <N>] [--queue <N>] [--cache <N>]
-               [--max-retries <R>] [--seed <S>] [--audit-sample <N>]
-               [--journal <FILE>] [--resume] [--trace-out <FILE>]
-  simcov submit <addr> <jobs.jsonl> [--connections <N>] [--dump-dir <DIR>]
-                [--shutdown]
+impl Usage {
+    /// Adds `cmd`'s synopsis and the help lines of its options not
+    /// listed yet; `defaults` is the parse target before any flag.
+    fn add<T>(&mut self, cmd: &str, tables: &[&[Opt<T>]], mut defaults: T) {
+        let mut line = format!("  simcov {cmd}");
+        for o in tables
+            .iter()
+            .copied()
+            .flatten()
+            .filter(|o| o.on != On::Wire)
+        {
+            let spelling = o.spelling();
+            let item = match o.slot {
+                _ if o.is_positional() => spelling.clone(),
+                Slot::Severity(..) => format!("[{spelling}]..."),
+                _ => format!("[{spelling}]"),
+            };
+            if line.chars().count() + 1 + item.chars().count() > 78 {
+                let _ = writeln!(self.synopsis, "{line}");
+                line = " ".repeat(9 + cmd.len());
+            }
+            line.push(' ');
+            line.push_str(&item);
+            let default = o
+                .slot
+                .show(&mut defaults)
+                .map(|d| format!(" (default {d})"));
+            let entry = help_entry(
+                &spelling,
+                &(o.help.to_string() + &default.unwrap_or_default()),
+            );
+            if !self.options.contains(&entry) {
+                self.options.push(entry);
+            }
+        }
+        let _ = writeln!(self.synopsis, "{line}");
+    }
+}
 
-OPTIONS:
-  --jobs <J>    worker threads for the fault campaign (0 or omitted =
-                automatic: all available cores, or one thread for a
-                small differential campaign); results are identical
-                for every J
-  --engine <E>  fault-simulation engine: differential (default; shares
-                the memoized golden trace and replays only divergent
-                suffixes), symbolic (shards walked as BDD relations over
-                a fault-id space; on models too wide to enumerate, an
-                implicit fault-family campaign) or naive (clone-and-
-                replay oracle); reports are bit-identical for every
-                engine
-  --collapse <M>
-                static fault collapsing: off (default) simulates every
-                fault; on simulates one representative per equivalence
-                class from the collapse certificate and expands — the
-                report and stats are bit-identical to off; verify
-                simulates everything and audits the certificate, failing
-                the run on any divergence
-  --max-nodes <N>
-                analyze: per-cell node budget for the transfer-fault
-                bisimulation (default 65536); cells that exceed it keep
-                their faults as singletons and warn SC050
-  --deadline <MS>
-                wall-clock budget in milliseconds; the campaign stops
-                cooperatively at the next fault boundary when it expires.
-                0 uniformly means expire-immediately: nothing is
-                simulated, every unrestored shard reports as skipped
-                (with --resume the journal is still restored for free,
-                so `--deadline 0 --resume` audits a checkpoint)
-  --max-steps <N>
-                total simulation-step budget (one step per test vector
-                per fault); deterministic truncation, unlike --deadline
-  --rounds <R>  close: feedback-round budget (default 8); the loop also
-                stops at closure or after 3 rounds without progress
-  --budget <STEPS>
-                close: soft test-step budget across all rounds; the
-                round that crosses it is the last
-  --max-retries <R>
-                attempts per panicking shard before it is quarantined
-                (default 2)
-  --checkpoint <FILE>
-                journal completed shards to FILE as the campaign runs
-  --resume      restore journaled shards from --checkpoint FILE and
-                simulate only the rest; the merged report is byte-
-                identical to an uninterrupted run
-  --trace-out <FILE>
-                write a deterministic JSONL telemetry trace (schema
-                `simcov-trace` v1, FNV-64 fingerprint footer); byte-
-                identical across --jobs for the same work
-  --metrics     print an end-of-run metrics table (spans, counters,
-                gauges) on stderr; stdout stays machine-parseable
-  --deny/--warn/--allow <C>
-                override the severity of lint code C (e.g. SC001 or
-                unreachable-state); repeatable, later flags win
-  --format <F>  lint report format: text (default) or json
-  --addr <A>    serve: listen address (default 127.0.0.1:0; the chosen
-                port is printed as `listening HOST:PORT` on startup)
-  --queue <N>   serve: admission-queue capacity; a full queue rejects
-                with a retry-after hint instead of growing (default 256)
-  --cache <N>   serve: golden-trace cache capacity in traces, LRU
-                evicted (default 8)
-  --audit-sample <N>
-                serve: faults sampled per engine-equivalence audit; an
-                engine that disagrees with the naive oracle on the
-                sample is degraded symbolic → differential → naive
-                (0 disables auditing; default 8)
-  --journal <FILE>
-                serve: crash-safe server journal; admitted jobs are
-                fsynced before they are acknowledged
-  --resume      serve: recover admitted-but-unfinished jobs from
-                --journal FILE and re-run them before accepting new work
-  --connections <N>
-                submit: client connections to spread the jobs over
-                (default 1); results are printed in file order whatever
-                the interleaving
-  --dump-dir <DIR>
-                submit: also write each result to DIR/<id>.out with its
-                exit status in DIR/<id>.exit
-  --shutdown    submit: ask the server to drain and exit afterwards
+/// `  --flag <M>   help`: the help wrapped at 78 columns under column
+/// 24, on a line of its own after a wide spelling.
+fn help_entry(spelling: &str, help: &str) -> String {
+    let mut lines = vec![format!("  {spelling}")];
+    if spelling.len() > 20 {
+        lines.push(String::new());
+    }
+    for word in help.split_whitespace() {
+        let width = lines.last().map_or(0, |l| l.chars().count());
+        if width >= 24 && width + 1 + word.chars().count() > 78 {
+            lines.push(String::new());
+        }
+        let last = lines.last_mut().expect("one line at least");
+        let pad = 24usize.saturating_sub(last.chars().count()).max(1);
+        last.push_str(&" ".repeat(pad));
+        last.push_str(word);
+    }
+    lines.join("\n")
+}
 
+const EXIT_CODES: &str = "\
 Every subcommand shares one exit-code contract: 0 complete, 1 runtime
 error (including lint/analyze denials and failed collapse audits), 2
-usage error, 3 valid-but-partial. Lint and analyze exit 0 when no
-deny-level diagnostics fire, 1 otherwise; the report always goes to
-stdout, and the JSON form carries the model's FNV-64 fingerprint so
-reports are diffable across runs and cacheable by model identity.
-Campaign exits 0 when every fault was simulated and 3 on a partial
-(truncated or shard-quarantined) report, so scripts can tell a
-valid-but-incomplete result from an error; --collapse verify
-violations exit 1. Close exits 0 when it reaches closure (every
-detectable fault detected) and 3 when a round/step budget or
-stagnation stops it first; its round schedule and report are
-byte-identical for every --jobs value and engine. Submit exits with
-the worst status over its jobs.
+usage error (an unknown, repeated or mistyped flag among them), 3
+valid-but-partial. Lint and analyze exit 0 when no deny-level
+diagnostics fire, 1 otherwise; the report always goes to stdout, and
+the JSON form carries the model's FNV-64 fingerprint so reports are
+diffable across runs and cacheable by model identity. Campaign exits 0
+when every fault was simulated and 3 on a partial (truncated or
+shard-quarantined) report, so scripts can tell a valid-but-incomplete
+result from an error; --collapse verify violations exit 1. Close exits
+0 when it reaches closure (every detectable fault detected) and 3 when
+a round/step budget or stagnation stops it first; its round schedule
+and report are byte-identical for every --jobs value and engine.
+Submit exits with the worst status over its jobs.
 ";
 
 fn load_model(path: &str) -> Result<Netlist, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-    simcov_netlist::from_blif(&text)
-        .map_err(|e| CliError::runtime(format!("cannot parse {path}: {e}")))
+    Ok(load_model_source(path)?.netlist()?)
 }
 
 /// Reads a BLIF file into the [`ModelSource`] the job layer consumes;
@@ -309,30 +265,6 @@ fn load_model_source(path: &str) -> Result<ModelSource, CliError> {
         name: path.to_string(),
         text,
     })
-}
-
-fn enumerate(n: &Netlist) -> Result<ExplicitMealy, CliError> {
-    Ok(jobs::enumerate(n)?)
-}
-
-/// Runs one job through the shared execution layer under the CLI
-/// context (no cache, no audit) — exactly what `simcov serve` runs for
-/// the same spec, which is what keeps the two byte-identical.
-fn execute_job(model: ModelSource, kind: JobKind, obs: &ObsOpts) -> Result<CmdOutput, CliError> {
-    let tel = Telemetry::new();
-    let spec = JobSpec {
-        id: "cli".to_string(),
-        model,
-        kind,
-    };
-    let outcome = jobs::execute(&spec, &tel, &ExecCtx::default())?;
-    let mut out = CmdOutput {
-        text: outcome.text,
-        code: outcome.status.code(),
-        metrics: None,
-    };
-    obs.finish(&tel, &mut out)?;
-    Ok(out)
 }
 
 /// `simcov stats`: interface + symbolic reachability statistics.
@@ -361,21 +293,6 @@ pub fn cmd_stats(path: &str) -> Result<String, CliError> {
     );
     let _ = writeln!(out, "transitions: {}", fsm.count_transitions(r.reached));
     Ok(out)
-}
-
-/// `simcov tour`: generate a transition (default), greedy, or state tour.
-pub fn cmd_tour(path: &str, kind: &str, obs: &ObsOpts) -> Result<CmdOutput, CliError> {
-    // Validate the kind before touching the file, as the flag parser
-    // always has.
-    let _: TourKind = kind.parse().map_err(CliError::usage)?;
-    let model = load_model_source(path)?;
-    execute_job(
-        model,
-        JobKind::Tour {
-            kind: kind.to_string(),
-        },
-        obs,
-    )
 }
 
 /// `simcov distinguish`: symbolic ∀k-distinguishability.
@@ -428,36 +345,10 @@ pub fn cmd_distinguish(path: &str, k: usize, all_pairs: bool) -> Result<String, 
 /// of [`ExitStatus::Partial`].
 pub const EXIT_PARTIAL: i32 = ExitStatus::Partial.code();
 
-/// `simcov campaign`: tour-driven fault campaign on the supervised
-/// parallel engine.
-///
-/// Always runs under the resilient supervisor, so `--deadline`,
-/// `--max-steps`, `--checkpoint` and `--resume` compose freely with the
-/// plain flags. Exits 0 for a complete report and [`EXIT_PARTIAL`] for a
-/// truncated or shard-quarantined one — every line of a partial report is
-/// still exact; the `status:`/`bounds:` lines account for what is
-/// missing.
-pub fn cmd_campaign(
-    source: LintSource<'_>,
-    opts: &CampaignOpts,
-    obs: &ObsOpts,
-) -> Result<CmdOutput, CliError> {
-    // Usage errors must precede file access: `--resume` without
-    // `--checkpoint` reports before a missing model does.
-    if opts.resume && opts.checkpoint.is_none() {
-        return Err(CliError::usage("--resume requires --checkpoint <FILE>"));
-    }
-    let model = match source {
-        LintSource::Path(path) => load_model_source(path)?,
-        LintSource::Dlx(which) => ModelSource::Dlx(which.to_string()),
-    };
-    execute_job(model, JobKind::Campaign(opts.clone()), obs)
-}
-
 /// `simcov dot`: the reachable FSM in Graphviz format.
 pub fn cmd_dot(path: &str) -> Result<String, CliError> {
     let n = load_model(path)?;
-    let m = enumerate(&n)?;
+    let m = jobs::enumerate(&n)?;
     Ok(m.to_dot())
 }
 
@@ -471,110 +362,10 @@ pub fn cmd_normalize(path: &str) -> Result<String, CliError> {
     Ok(simcov_netlist::to_blif(&n, name))
 }
 
-fn dlx_netlist(which: &str) -> Result<Netlist, CliError> {
-    Ok(jobs::dlx_netlist(which)?)
-}
-
 /// `simcov dlx`: export the case-study models as BLIF.
 pub fn cmd_dlx(which: &str) -> Result<String, CliError> {
-    let n = dlx_netlist(which)?;
+    let n = jobs::dlx_netlist(which)?;
     Ok(simcov_netlist::to_blif(&n, &format!("dlx_{which}")))
-}
-
-/// What `simcov lint` runs over: a BLIF file or a built-in DLX model.
-#[derive(Debug, Clone, Copy)]
-pub enum LintSource<'a> {
-    /// A sequential BLIF file on disk.
-    Path(&'a str),
-    /// A case-study model by name (`--dlx`), linted with its valid-input
-    /// alphabet where one is defined (`reduced`, `reduced-obs`).
-    Dlx(&'a str),
-}
-
-/// `simcov lint`: run the `SC0xx` static diagnostics over a model.
-///
-/// Netlist lints (`SC020`–`SC030`) always run; when the model fits the
-/// explicit-enumeration guard (≤ 16 inputs), the reachable machine is
-/// built and the model lints (`SC001`–`SC008`) run on it too, with the
-/// stall predicate for Requirement 2 taken from the output port named
-/// `stall` if one exists. A BLIF parse failure is itself reported as a
-/// lint (`SC028`–`SC030`) rather than a hard error, so `--format json`
-/// output stays machine-readable for malformed inputs.
-pub fn cmd_lint(
-    source: LintSource<'_>,
-    format: &str,
-    overrides: &SeverityOverrides,
-    k: usize,
-    obs: &ObsOpts,
-) -> Result<CmdOutput, CliError> {
-    let model = match source {
-        LintSource::Path(path) => load_model_source(path)?,
-        LintSource::Dlx(which) => ModelSource::Dlx(which.to_string()),
-    };
-    execute_job(
-        model,
-        JobKind::Lint {
-            format: format.to_string(),
-            k,
-            overrides: overrides.clone(),
-        },
-        obs,
-    )
-}
-
-/// `simcov analyze`: whole-model static fault collapsing.
-///
-/// Enumerates the fault universe a campaign with the same `--max-faults`
-/// and `--seed` would simulate, computes the collapse certificate
-/// (unreachable / ineffective / output / transfer classes plus dominance
-/// edges) and reports the `SC05x` findings through the standard lint
-/// pipeline. Exits like `lint`: 0 when no deny-level diagnostics fire,
-/// 1 otherwise; the JSON report carries the machine fingerprint that
-/// also binds the certificate.
-pub fn cmd_analyze(
-    source: LintSource<'_>,
-    format: &str,
-    overrides: &SeverityOverrides,
-    opts: &AnalyzeOpts,
-    obs: &ObsOpts,
-) -> Result<CmdOutput, CliError> {
-    let model = match source {
-        LintSource::Path(path) => load_model_source(path)?,
-        LintSource::Dlx(which) => ModelSource::Dlx(which.to_string()),
-    };
-    execute_job(
-        model,
-        JobKind::Analyze {
-            format: format.to_string(),
-            opts: opts.clone(),
-            overrides: overrides.clone(),
-        },
-        obs,
-    )
-}
-
-/// `simcov close`: coverage-directed closure — iterate stimulus
-/// generation against fault-campaign feedback until every detectable
-/// fault is detected or a budget expires.
-///
-/// Each round harvests the surviving faults and cold `(state, input)`
-/// cells from the accumulated campaign and feeds them to the bias-aware
-/// tour generators; provably-undetectable faults (observationally
-/// equivalent mutants) are pruned from the closure target as they are
-/// identified. Exits 0 at closure and [`EXIT_PARTIAL`] when the round
-/// budget, `--budget` step cap or stagnation stopped the loop first.
-/// For a fixed `--seed` the round schedule, report and telemetry trace
-/// are byte-identical for every `--jobs` value and engine.
-pub fn cmd_close(
-    source: LintSource<'_>,
-    opts: &CloseOpts,
-    obs: &ObsOpts,
-) -> Result<CmdOutput, CliError> {
-    let model = match source {
-        LintSource::Path(path) => load_model_source(path)?,
-        LintSource::Dlx(which) => ModelSource::Dlx(which.to_string()),
-    };
-    execute_job(model, JobKind::Close(opts.clone()), obs)
 }
 
 /// `simcov serve`: run the multi-tenant job server until a client sends
@@ -749,406 +540,198 @@ pub fn cmd_submit(
     })
 }
 
-/// Parses repeated `--deny/--warn/--allow <code>` severity overrides
-/// (shared by `lint` and `analyze`) into the wire-transportable pair
-/// form, validating eagerly so `--deny bogus` is a usage error before
-/// any model work happens.
-fn severity_overrides(rest: &[&String]) -> Result<SeverityOverrides, CliError> {
-    let mut overrides = SeverityOverrides::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let severity = match rest[i].as_str() {
-            "--deny" => Some("deny"),
-            "--warn" => Some("warn"),
-            "--allow" => Some("allow"),
-            _ => None,
-        };
-        if let Some(sev) = severity {
-            let code = rest
-                .get(i + 1)
-                .ok_or_else(|| CliError::usage(format!("{} needs a lint code", rest[i])))?;
-            overrides.push((code.to_string(), sev.to_string()));
-            i += 2;
-        } else {
-            i += 1;
+#[derive(Default)]
+struct DistinguishArgs {
+    path: Option<String>,
+    k: Option<u64>,
+    all_pairs: bool,
+}
+
+#[derive(Default)]
+struct ServeArgs {
+    config: ServerConfig,
+    audit_sample: Option<u64>,
+    trace_out: Option<String>,
+}
+
+#[derive(Default)]
+struct SubmitArgs {
+    addr: Option<String>,
+    file: Option<String>,
+    connections: Option<u64>,
+    dump_dir: Option<String>,
+    shutdown: bool,
+}
+
+#[rustfmt::skip]
+static PATH: &[Opt<Option<String>>] = &[
+    Opt::new("<model.blif>", "model", On::Cli, Slot::MaybeText(|p| p),
+        "sequential BLIF model file"),
+];
+
+#[rustfmt::skip]
+static DLX_NAME: &[Opt<Option<String>>] = &[
+    Opt::new("<name>", "name", On::Cli, Slot::MaybeText(|p| p),
+        "case-study model: fig3a|fig3b|final|reduced|reduced-obs"),
+];
+
+#[rustfmt::skip]
+static DISTINGUISH: &[Opt<DistinguishArgs>] = &[
+    Opt::new("<model.blif>", "model", On::Cli, Slot::MaybeText(|a| &mut a.path),
+        "sequential BLIF model file"),
+    Opt::new("--k <K>", "k", On::Cli, Slot::MaybeU64(|a| &mut a.k),
+        "distinguishing-sequence length (required)"),
+    Opt::new("--all-pairs", "all_pairs", On::Cli, Slot::Flag(|a| &mut a.all_pairs),
+        "check every state pair, not only the reachable ones"),
+];
+
+#[rustfmt::skip]
+static SERVE: &[Opt<ServeArgs>] = &[
+    Opt::new("--addr <HOST:PORT>", "addr", On::Cli, Slot::Text(|a| &mut a.config.addr),
+        "listen address; the bound port is printed as `listening HOST:PORT`"),
+    Opt::new("--workers <N>", "workers", On::Cli, Slot::Usize(|a| &mut a.config.workers),
+        "worker threads; 0 = all cores"),
+    Opt::new("--queue <N>", "queue", On::Cli, Slot::Usize(|a| &mut a.config.queue_capacity),
+        "admission-queue capacity; a full queue rejects with a retry-after hint"),
+    Opt::new("--cache <N>", "cache", On::Cli, Slot::Usize(|a| &mut a.config.cache_capacity),
+        "golden-trace cache capacity in traces, least recently used evicted"),
+    Opt::new("--max-retries <R>", "max_retries", On::Cli, Slot::Usize(|a| &mut a.config.max_retries),
+        "attempts per panicking job before it is quarantined"),
+    Opt::new("--seed <S>", "seed", On::Cli, Slot::U64(|a| &mut a.config.seed),
+        "seed of the retry backoff jitter and the audit sample"),
+    Opt::new("--audit-sample <N>", "audit_sample", On::Cli, Slot::MaybeU64(|a| &mut a.audit_sample),
+        "faults per engine-equivalence audit (0 disables); an engine that fails \
+         its audit is degraded symbolic → differential → naive"),
+    Opt::new("--journal <FILE>", "journal", On::Cli, Slot::MaybeText(|a| &mut a.config.journal),
+        "crash-safe server journal; admitted jobs are fsynced before they are acknowledged"),
+    Opt::new("--resume", "resume", On::Cli, Slot::Flag(|a| &mut a.config.resume),
+        "re-run the --journal FILE's admitted-but-unfinished jobs before accepting new work"),
+    Opt::new("--trace-out <FILE>", "trace_out", On::Cli, Slot::MaybeText(|a| &mut a.trace_out),
+        "write the server's counter trace on exit"),
+];
+
+#[rustfmt::skip]
+static SUBMIT: &[Opt<SubmitArgs>] = &[
+    Opt::new("<addr>", "addr", On::Cli, Slot::MaybeText(|a| &mut a.addr),
+        "server address, HOST:PORT"),
+    Opt::new("<jobs.jsonl>", "file", On::Cli, Slot::MaybeText(|a| &mut a.file),
+        "one wire request per line, each carrying its own id"),
+    Opt::new("--connections <N>", "connections", On::Cli, Slot::MaybeU64(|a| &mut a.connections),
+        "client connections to spread the jobs over (default 1); results print in file order"),
+    Opt::new("--dump-dir <DIR>", "dump_dir", On::Cli, Slot::MaybeText(|a| &mut a.dump_dir),
+        "also write each result to DIR/<id>.out and its exit status to DIR/<id>.exit"),
+    Opt::new("--shutdown", "shutdown", On::Cli, Slot::Flag(|a| &mut a.shutdown),
+        "ask the server to drain and exit afterwards"),
+];
+
+/// A usage error followed by the usage text.
+fn with_usage(message: &str) -> CliError {
+    CliError::usage(format!("{message}\n\n{}", usage()))
+}
+
+/// Reads `cmd`'s arguments through its option table.
+fn read<T: Default>(cmd: &str, table: &[Opt<T>], args: &[String]) -> Result<T, CliError> {
+    let mut target = T::default();
+    read_argv(cmd, &[table], args, &mut target).map_err(CliError::usage)?;
+    Ok(target)
+}
+
+/// Runs a job subcommand: read its options through the kind's table,
+/// load the model, run the job through the execution layer `simcov
+/// serve` shares, then write the telemetry the flags ask for.
+fn run_job(cmd: &JobCommand, args: &[String]) -> Result<CmdOutput, CliError> {
+    let mut job = cmd.args();
+    read_argv(cmd.name, cmd.tables, args, &mut job).map_err(CliError::usage)?;
+    // Usage errors precede file access.
+    if let JobKind::Campaign(o) = &job.kind {
+        if o.resume && o.checkpoint.is_none() {
+            return Err(CliError::usage("--resume requires --checkpoint <FILE>"));
         }
     }
-    jobs::lint_config(&overrides)?;
-    Ok(overrides)
-}
-
-/// Validates a `--format` value for the report-producing commands.
-fn report_format(value: Option<&str>) -> Result<&str, CliError> {
-    let format = value.unwrap_or("text");
-    jobs::report_format(format)?;
-    Ok(format)
-}
-
-/// First token that is neither a flag nor the value of one of
-/// `flags_with_value` — the positional model path for commands whose
-/// flag set includes value-taking flags.
-fn positional_after<'a>(rest: &[&'a String], flags_with_value: &[&str]) -> Option<&'a str> {
-    let mut i = 0;
-    while i < rest.len() {
-        if flags_with_value.contains(&rest[i].as_str()) {
-            i += 2;
-        } else if rest[i].starts_with("--") {
-            i += 1;
-        } else {
-            return Some(rest[i].as_str());
+    let model = match (job.path, job.dlx) {
+        (Some(path), _) => load_model_source(&path)?,
+        (None, Some(which)) => ModelSource::Dlx(which),
+        (None, None) => {
+            let dlx = cmd
+                .tables
+                .iter()
+                .copied()
+                .flatten()
+                .any(|o| o.word() == "--dlx");
+            let alt = if dlx { " or --dlx" } else { "" };
+            return Err(with_usage(&format!(
+                "`{}` needs a model path{alt}",
+                cmd.name
+            )));
         }
-    }
-    None
-}
-
-/// Parses a numeric flag value, reporting the flag name on failure.
-fn parse_num<T: std::str::FromStr>(value: Option<&str>, name: &str) -> Result<Option<T>, CliError> {
-    value
-        .map(|v| {
-            v.parse()
-                .map_err(|_| CliError::usage(format!("{name} must be a number")))
-        })
-        .transpose()
+    };
+    let tel = Telemetry::new();
+    let spec = JobSpec {
+        id: "cli".to_string(),
+        model,
+        kind: job.kind,
+    };
+    let outcome = jobs::execute(&spec, &tel, &ExecCtx::default())?;
+    let mut out = CmdOutput {
+        text: outcome.text,
+        code: outcome.status.code(),
+        metrics: None,
+    };
+    let (trace_out, metrics) = (job.trace_out, job.metrics);
+    ObsOpts { trace_out, metrics }.finish(&tel, &mut out)?;
+    Ok(out)
 }
 
 /// Parses and dispatches a full argument vector (without the program name).
 pub fn run(args: &[String]) -> Result<CmdOutput, CliError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return Err(CliError::usage(usage()));
     };
-    let rest: Vec<&String> = it.collect();
-    let flag_value = |name: &str| -> Option<&str> {
-        rest.iter()
-            .position(|a| a.as_str() == name)
-            .and_then(|i| rest.get(i + 1))
-            .map(|s| s.as_str())
-    };
-    // Flags that take no value; everything else starting with `--`
-    // consumes the following token, so a positional path is recognised
-    // wherever it appears (`campaign --seed 3 m.blif` and
-    // `campaign m.blif --seed 3` both work).
-    const BOOL_FLAGS: [&str; 7] = [
-        "--greedy",
-        "--state",
-        "--all-pairs",
-        "--resume",
-        "--metrics",
-        "--shutdown",
-        "--help",
-    ];
-    let positional = || -> Result<&str, CliError> {
-        let mut i = 0;
-        while i < rest.len() {
-            let a = rest[i].as_str();
-            if BOOL_FLAGS.contains(&a) {
-                i += 1;
-            } else if a.starts_with("--") {
-                i += 2;
-            } else {
-                return Ok(a);
-            }
-        }
-        Err(CliError::usage(format!(
-            "`{cmd}` needs a model path\n\n{}",
-            usage()
-        )))
-    };
+    if let Some(job) = JobCommand::find(cmd) {
+        return run_job(job, rest);
+    }
+    let no_path = || with_usage(&format!("`{cmd}` needs a model path"));
+    let path = || read(cmd, PATH, rest)?.ok_or_else(no_path);
     match cmd.as_str() {
-        "lint" => {
-            let overrides = severity_overrides(&rest)?;
-            let format = report_format(flag_value("--format"))?;
-            let k = parse_num(flag_value("--k"), "--k")?.unwrap_or(1);
-            let source = match flag_value("--dlx") {
-                Some(which) => LintSource::Dlx(which),
-                None => {
-                    // Positional args must skip flag values, not just flags.
-                    let flags_with_value = [
-                        "--deny",
-                        "--warn",
-                        "--allow",
-                        "--format",
-                        "--k",
-                        "--dlx",
-                        "--trace-out",
-                    ];
-                    LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
-                        || {
-                            CliError::usage(format!(
-                                "`lint` needs a model path or --dlx\n\n{}",
-                                usage()
-                            ))
-                        },
-                    )?)
-                }
-            };
-            return cmd_lint(source, format, &overrides, k, &ObsOpts::parse(&rest));
-        }
-        "analyze" => {
-            let overrides = severity_overrides(&rest)?;
-            let format = report_format(flag_value("--format"))?;
-            let defaults = AnalyzeOpts::default();
-            let opts = AnalyzeOpts {
-                max_faults: parse_num(flag_value("--max-faults"), "--max-faults")?
-                    .unwrap_or(defaults.max_faults),
-                seed: parse_num(flag_value("--seed"), "--seed")?.unwrap_or(defaults.seed),
-                max_nodes: parse_num(flag_value("--max-nodes"), "--max-nodes")?
-                    .unwrap_or(defaults.max_nodes),
-            };
-            let source = match flag_value("--dlx") {
-                Some(which) => LintSource::Dlx(which),
-                None => {
-                    let flags_with_value = [
-                        "--deny",
-                        "--warn",
-                        "--allow",
-                        "--format",
-                        "--max-faults",
-                        "--seed",
-                        "--max-nodes",
-                        "--dlx",
-                        "--trace-out",
-                    ];
-                    LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
-                        || {
-                            CliError::usage(format!(
-                                "`analyze` needs a model path or --dlx\n\n{}",
-                                usage()
-                            ))
-                        },
-                    )?)
-                }
-            };
-            return cmd_analyze(source, format, &overrides, &opts, &ObsOpts::parse(&rest));
-        }
-        "stats" => cmd_stats(positional()?),
-        "tour" => {
-            let kind = if rest.iter().any(|a| a.as_str() == "--greedy") {
-                "greedy"
-            } else if rest.iter().any(|a| a.as_str() == "--state") {
-                "state"
-            } else {
-                "postman"
-            };
-            return cmd_tour(positional()?, kind, &ObsOpts::parse(&rest));
+        "stats" => cmd_stats(&path()?),
+        "dot" => cmd_dot(&path()?),
+        "normalize" => cmd_normalize(&path()?),
+        "dlx" => {
+            let which = read(cmd, DLX_NAME, rest)?;
+            cmd_dlx(&which.ok_or_else(|| CliError::usage("dlx needs a model name"))?)
         }
         "distinguish" => {
-            let k: usize = flag_value("--k")
-                .ok_or_else(|| CliError::usage("distinguish requires --k <K>"))?
-                .parse()
-                .map_err(|_| CliError::usage("--k must be a number"))?;
-            let all_pairs = rest.iter().any(|a| a.as_str() == "--all-pairs");
-            cmd_distinguish(positional()?, k, all_pairs)
-        }
-        "campaign" => {
-            let defaults = CampaignOpts::default();
-            let opts = CampaignOpts {
-                max_faults: parse_num(flag_value("--max-faults"), "--max-faults")?
-                    .unwrap_or(defaults.max_faults),
-                seed: parse_num(flag_value("--seed"), "--seed")?.unwrap_or(defaults.seed),
-                k: parse_num(flag_value("--k"), "--k")?.unwrap_or(defaults.k),
-                jobs: parse_num(flag_value("--jobs"), "--jobs")?.unwrap_or(defaults.jobs),
-                max_retries: parse_num(flag_value("--max-retries"), "--max-retries")?
-                    .unwrap_or(defaults.max_retries),
-                deadline_ms: parse_num(flag_value("--deadline"), "--deadline")?,
-                max_steps: parse_num(flag_value("--max-steps"), "--max-steps")?,
-                checkpoint: flag_value("--checkpoint").map(str::to_string),
-                resume: rest.iter().any(|a| a.as_str() == "--resume"),
-                engine: match flag_value("--engine") {
-                    None => defaults.engine,
-                    Some(name) => name.parse().map_err(CliError::usage)?,
-                },
-                collapse: match flag_value("--collapse") {
-                    None => defaults.collapse,
-                    Some(mode) => mode.parse().map_err(CliError::usage)?,
-                },
-            };
-            let source = match flag_value("--dlx") {
-                Some(which) => LintSource::Dlx(which),
-                None => {
-                    let flags_with_value = [
-                        "--max-faults",
-                        "--seed",
-                        "--k",
-                        "--jobs",
-                        "--engine",
-                        "--collapse",
-                        "--deadline",
-                        "--max-steps",
-                        "--max-retries",
-                        "--checkpoint",
-                        "--dlx",
-                        "--trace-out",
-                    ];
-                    LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
-                        || {
-                            CliError::usage(format!(
-                                "`campaign` needs a model path or --dlx\n\n{}",
-                                usage()
-                            ))
-                        },
-                    )?)
-                }
-            };
-            return cmd_campaign(source, &opts, &ObsOpts::parse(&rest));
-        }
-        "close" => {
-            let format = report_format(flag_value("--format"))?;
-            let defaults = CloseOpts::default();
-            let opts = CloseOpts {
-                max_faults: parse_num(flag_value("--max-faults"), "--max-faults")?
-                    .unwrap_or(defaults.max_faults),
-                seed: parse_num(flag_value("--seed"), "--seed")?.unwrap_or(defaults.seed),
-                rounds: parse_num(flag_value("--rounds"), "--rounds")?.unwrap_or(defaults.rounds),
-                budget: parse_num(flag_value("--budget"), "--budget")?,
-                jobs: parse_num(flag_value("--jobs"), "--jobs")?.unwrap_or(defaults.jobs),
-                engine: match flag_value("--engine") {
-                    None => defaults.engine,
-                    Some(name) => name.parse().map_err(CliError::usage)?,
-                },
-                // Rounds either simulate every fault or one representative
-                // per collapse class; there is no `verify` mode because the
-                // certificate is audited up front by the driver.
-                collapse: match flag_value("--collapse") {
-                    None | Some("off") => false,
-                    Some("on") => true,
-                    Some(other) => {
-                        return Err(CliError::usage(format!(
-                            "unknown collapse mode `{other}` for close (off|on)"
-                        )))
-                    }
-                },
-                format: format.to_string(),
-            };
-            let source = match flag_value("--dlx") {
-                Some(which) => LintSource::Dlx(which),
-                None => {
-                    let flags_with_value = [
-                        "--max-faults",
-                        "--seed",
-                        "--rounds",
-                        "--budget",
-                        "--jobs",
-                        "--engine",
-                        "--collapse",
-                        "--format",
-                        "--dlx",
-                        "--trace-out",
-                    ];
-                    LintSource::Path(positional_after(&rest, &flags_with_value).ok_or_else(
-                        || {
-                            CliError::usage(format!(
-                                "`close` needs a model path or --dlx\n\n{}",
-                                usage()
-                            ))
-                        },
-                    )?)
-                }
-            };
-            return cmd_close(source, &opts, &ObsOpts::parse(&rest));
+            let a = read(cmd, DISTINGUISH, rest)?;
+            let k =
+                a.k.ok_or_else(|| CliError::usage("distinguish requires --k <K>"))?;
+            cmd_distinguish(&a.path.ok_or_else(no_path)?, k as usize, a.all_pairs)
         }
         "serve" => {
-            let defaults = ServerConfig::default();
-            let mut config = ServerConfig {
-                addr: flag_value("--addr").unwrap_or(&defaults.addr).to_string(),
-                workers: parse_num(flag_value("--workers"), "--workers")?
-                    .unwrap_or(defaults.workers),
-                queue_capacity: parse_num(flag_value("--queue"), "--queue")?
-                    .unwrap_or(defaults.queue_capacity),
-                cache_capacity: parse_num(flag_value("--cache"), "--cache")?
-                    .unwrap_or(defaults.cache_capacity),
-                max_retries: parse_num(flag_value("--max-retries"), "--max-retries")?
-                    .unwrap_or(defaults.max_retries),
-                seed: parse_num(flag_value("--seed"), "--seed")?.unwrap_or(defaults.seed),
-                journal: flag_value("--journal").map(str::to_string),
-                resume: rest.iter().any(|a| a.as_str() == "--resume"),
-                ..defaults
-            };
-            if config.resume && config.journal.is_none() {
+            let mut a = read(cmd, SERVE, rest)?;
+            if a.config.resume && a.config.journal.is_none() {
                 return Err(CliError::usage("--resume requires --journal <FILE>"));
             }
-            if let Some(sample) =
-                parse_num::<usize>(flag_value("--audit-sample"), "--audit-sample")?
-            {
-                config.audit = (sample > 0).then_some(jobs::AuditPolicy {
-                    sample,
-                    seed: config.seed,
+            if let Some(sample) = a.audit_sample {
+                a.config.audit = (sample > 0).then_some(AuditPolicy {
+                    sample: sample as usize,
+                    seed: a.config.seed,
                 });
             }
-            #[cfg(feature = "chaos")]
-            {
-                let seed = parse_num(flag_value("--chaos-seed"), "--chaos-seed")?;
-                let drop = parse_num(flag_value("--chaos-drop"), "--chaos-drop")?;
-                let slow = parse_num(flag_value("--chaos-slow"), "--chaos-slow")?;
-                let panic = parse_num(flag_value("--chaos-panic"), "--chaos-panic")?;
-                let audit = parse_num(flag_value("--chaos-audit"), "--chaos-audit")?;
-                let journal_fail =
-                    parse_num(flag_value("--chaos-journal-fail"), "--chaos-journal-fail")?;
-                if seed.is_some()
-                    || drop.is_some()
-                    || slow.is_some()
-                    || panic.is_some()
-                    || audit.is_some()
-                    || journal_fail.is_some()
-                {
-                    let mut plan = simcov_serve::chaos::ServeChaosPlan::new(seed.unwrap_or(0));
-                    plan.drop_connection_prob = drop.unwrap_or(0.0);
-                    plan.slow_client_prob = slow.unwrap_or(0.0);
-                    plan.job_panic_prob = panic.unwrap_or(0.0);
-                    plan.audit_fail_prob = audit.unwrap_or(0.0);
-                    plan.journal_fail_after = journal_fail.unwrap_or(usize::MAX);
-                    config.chaos = Some(plan);
-                }
-            }
-            return cmd_serve(config, flag_value("--trace-out"));
+            return cmd_serve(a.config, a.trace_out.as_deref());
         }
         "submit" => {
-            let flags_with_value = ["--connections", "--dump-dir"];
-            let mut positionals = Vec::new();
-            let mut i = 0;
-            while i < rest.len() {
-                let a = rest[i].as_str();
-                if flags_with_value.contains(&a) {
-                    i += 2;
-                } else if a.starts_with("--") {
-                    i += 1;
-                } else {
-                    positionals.push(a);
-                    i += 1;
-                }
-            }
-            let (addr, file) = match positionals[..] {
-                [addr, file] => (addr, file),
-                _ => {
-                    return Err(CliError::usage(format!(
-                        "`submit` needs <addr> and <jobs.jsonl>\n\n{}",
-                        usage()
-                    )))
-                }
+            let a = read(cmd, SUBMIT, rest)?;
+            let (Some(addr), Some(file)) = (&a.addr, &a.file) else {
+                return Err(with_usage("`submit` needs <addr> and <jobs.jsonl>"));
             };
-            let connections = parse_num(flag_value("--connections"), "--connections")?.unwrap_or(1);
-            return cmd_submit(
-                addr,
-                file,
-                connections,
-                flag_value("--dump-dir"),
-                rest.iter().any(|a| a.as_str() == "--shutdown"),
-            );
+            let connections = a.connections.unwrap_or(1) as usize;
+            return cmd_submit(addr, file, connections, a.dump_dir.as_deref(), a.shutdown);
         }
-        "dot" => cmd_dot(positional()?),
-        "normalize" => cmd_normalize(positional()?),
-        "dlx" => {
-            let which = rest
-                .first()
-                .map(|s| s.as_str())
-                .ok_or_else(|| CliError::usage("dlx needs a model name"))?;
-            cmd_dlx(which)
+        "help" | "--help" | "-h" => {
+            read::<()>(cmd, &[], rest)?;
+            Ok(usage())
         }
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(CliError::usage(format!(
-            "unknown command `{other}`\n\n{}",
-            usage()
-        ))),
+        other => Err(with_usage(&format!("unknown command `{other}`"))),
     }
     .map(CmdOutput::from)
 }
@@ -1495,9 +1078,7 @@ mod tests {
     #[test]
     fn tour_covers_and_prints_vectors() {
         let tmp = write_reduced_blif();
-        let out = cmd_tour(tmp.as_str(), "postman", &ObsOpts::default())
-            .unwrap()
-            .text;
+        let out = run(&args(&["tour", tmp.as_str()])).unwrap().text;
         assert!(out.contains("transitions"));
         // One vector per line after the header; the model has 5 inputs.
         let vectors: Vec<&str> = out
@@ -1506,10 +1087,10 @@ mod tests {
             .collect();
         assert!(vectors.len() > 100);
         assert!(vectors.iter().all(|v| v.len() == 5));
-        // Greedy and state tours also work.
-        assert!(cmd_tour(tmp.as_str(), "greedy", &ObsOpts::default()).is_ok());
-        assert!(cmd_tour(tmp.as_str(), "state", &ObsOpts::default()).is_ok());
-        assert!(cmd_tour(tmp.as_str(), "zigzag", &ObsOpts::default()).is_err());
+        // Greedy and state tours also work; anything else is no kind.
+        assert!(run(&args(&["tour", tmp.as_str(), "--greedy"])).is_ok());
+        assert!(run(&args(&["tour", tmp.as_str(), "--state"])).is_ok());
+        assert!(run(&args(&["tour", tmp.as_str(), "--zigzag"])).is_err());
     }
 
     #[test]
@@ -1528,25 +1109,33 @@ mod tests {
         assert!(out.contains("example pair"));
     }
 
-    fn campaign_opts(max_faults: usize, seed: u64, k: usize, jobs: usize) -> CampaignOpts {
-        CampaignOpts {
-            max_faults,
-            seed,
-            k,
-            jobs,
-            ..CampaignOpts::default()
-        }
+    /// `campaign <path> --max-faults N --seed S --k K --jobs J`.
+    fn campaign(path: &str, max_faults: usize, seed: u64, k: usize, jobs: usize) -> CmdOutput {
+        let (n, s, k, j) = (
+            max_faults.to_string(),
+            seed.to_string(),
+            k.to_string(),
+            jobs.to_string(),
+        );
+        run(&args(&[
+            "campaign",
+            path,
+            "--max-faults",
+            &n,
+            "--seed",
+            &s,
+            "--k",
+            &k,
+            "--jobs",
+            &j,
+        ]))
+        .unwrap()
     }
 
     #[test]
     fn campaign_runs_and_reports() {
         let tmp = write_reduced_blif();
-        let out = cmd_campaign(
-            LintSource::Path(tmp.as_str()),
-            &campaign_opts(300, 7, 1, 2),
-            &ObsOpts::default(),
-        )
-        .unwrap();
+        let out = campaign(tmp.as_str(), 300, 7, 1, 2);
         assert_eq!(out.code, 0);
         assert!(out.text.contains("campaign:"));
         assert!(out.text.contains("faults detected"));
@@ -1564,24 +1153,8 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let one = strip_wall(
-            cmd_campaign(
-                LintSource::Path(tmp.as_str()),
-                &campaign_opts(200, 3, 1, 1),
-                &ObsOpts::default(),
-            )
-            .unwrap()
-            .text,
-        );
-        let four = strip_wall(
-            cmd_campaign(
-                LintSource::Path(tmp.as_str()),
-                &campaign_opts(200, 3, 1, 4),
-                &ObsOpts::default(),
-            )
-            .unwrap()
-            .text,
-        );
+        let one = strip_wall(campaign(tmp.as_str(), 200, 3, 1, 1).text);
+        let four = strip_wall(campaign(tmp.as_str(), 200, 3, 1, 4).text);
         assert_eq!(one, four);
     }
 
@@ -1939,5 +1512,148 @@ mod tests {
         assert!(e.message.contains("--k"));
         let e = run(&args(&["campaign", "x.blif", "--max-faults", "abc"])).unwrap_err();
         assert_eq!(e.code, 2);
+    }
+
+    /// Unknown, dangling, repeated and contradictory arguments are usage
+    /// errors that name the argument.
+    #[test]
+    fn silently_ignored_input_is_a_usage_error() {
+        let tmp = write_reduced_blif();
+        let m = tmp.as_str();
+        let cases: [(&[&str], &str); 9] = [
+            (
+                &["campaign", m, "--engnie", "naive"],
+                "unknown flag `--engnie` for `campaign` (did you mean `--engine`?)",
+            ),
+            (
+                &["campaign", m, "--jbos", "9"],
+                "unknown flag `--jbos` for `campaign` (did you mean `--jobs`?)",
+            ),
+            (&["campaign", m, "--seed"], "--seed needs a value"),
+            (
+                &["campaign", m, "--trace-out", "--metrics"],
+                "--trace-out needs a value",
+            ),
+            (
+                &["campaign", m, "--dlx", "reduced"],
+                "`--dlx` conflicts with `<model.blif>`",
+            ),
+            (
+                &["tour", "--greedy", "--state", m],
+                "`--state` conflicts with `--greedy`",
+            ),
+            (
+                &["stats", "--metrics", m],
+                "unknown flag `--metrics` for `stats`",
+            ),
+            (
+                &["lint", m, "--jobs", "2"],
+                "unknown flag `--jobs` for `lint`",
+            ),
+            (
+                &["campaign", m, "--seed", "1", "--seed", "2"],
+                "`--seed` given twice",
+            ),
+        ];
+        for (argv, message) in cases {
+            let e = run(&args(argv)).unwrap_err();
+            assert_eq!(e.code, 2, "{argv:?}");
+            assert_eq!(e.message, message, "{argv:?}");
+        }
+    }
+
+    /// Every flag in a synopsis line of `usage()` is accepted by its
+    /// subcommand, and each synopsis is exactly its subcommand's
+    /// command-line table; every wire field of a job kind is listed
+    /// under REQUEST FIELDS.
+    #[test]
+    fn usage_and_option_tables_agree() {
+        fn cli<T>(tables: &[&[Opt<T>]]) -> Vec<String> {
+            let rows = tables.iter().flat_map(|t| t.iter());
+            rows.filter(|o| o.on != On::Wire)
+                .map(Opt::spelling)
+                .collect()
+        }
+        let mut tables: Vec<(&str, Vec<String>)> = vec![
+            ("stats", cli(&[PATH])),
+            ("distinguish", cli(&[DISTINGUISH])),
+            ("dot", cli(&[PATH])),
+            ("normalize", cli(&[PATH])),
+            ("dlx", cli(&[DLX_NAME])),
+        ];
+        tables.extend(JOB_COMMANDS.iter().map(|j| (j.name, cli(j.tables))));
+        tables.push(("serve", cli(&[SERVE])));
+        tables.push(("submit", cli(&[SUBMIT])));
+
+        let text = usage();
+        let (synopsis, rest) = text.split_once("\nOPTIONS:\n").unwrap();
+        let mut shown: Vec<(&str, Vec<String>)> = Vec::new();
+        for line in synopsis.lines().skip(3) {
+            let line = match line.trim_start().strip_prefix("simcov ") {
+                Some(l) => {
+                    let (cmd, l) = l.split_once(' ').unwrap_or((l, ""));
+                    shown.push((cmd, Vec::new()));
+                    l
+                }
+                None => line,
+            };
+            let items = &mut shown.last_mut().unwrap().1;
+            let mut l = line.trim();
+            while !l.is_empty() {
+                let end = if l.starts_with('[') {
+                    l.find(']').unwrap() + 1
+                } else {
+                    l.find(' ').unwrap_or(l.len())
+                };
+                let item = &l[..end];
+                items.push(
+                    item.trim_start_matches('[')
+                        .trim_end_matches(']')
+                        .to_string(),
+                );
+                l = l[end..].trim_start_matches("...").trim_start();
+            }
+        }
+        let shown_cmds: Vec<_> = shown.iter().map(|(c, i)| (*c, i.clone())).collect();
+        assert_eq!(shown_cmds, tables);
+
+        for (cmd, items) in &shown {
+            for item in items.iter().filter(|i| i.starts_with("--")) {
+                let (flag, meta) = item.split_once(' ').unwrap_or((item, ""));
+                let mut argv = vec![cmd.to_string(), flag.to_string()];
+                match meta {
+                    "" => {}
+                    "<C>" => argv.push("SC001".to_string()),
+                    m if m.starts_with('<') => argv.push("1".to_string()),
+                    m => argv.push(m.split('|').next().unwrap().to_string()),
+                }
+                argv.push("--sentinel".to_string());
+                let e = run(&argv).unwrap_err();
+                assert!(
+                    e.message.starts_with("unknown flag `--sentinel`"),
+                    "{argv:?}: {}",
+                    e.message
+                );
+            }
+        }
+
+        let fields = rest.split_once("REQUEST FIELDS").unwrap().1;
+        let fields = fields.split("\n\n").next().unwrap();
+        for job in JOB_COMMANDS {
+            let listed: Vec<&str> = fields
+                .split_whitespace()
+                .skip_while(|w| *w != job.name)
+                .skip(1)
+                .take_while(|w| JOB_COMMANDS.iter().all(|j| j.name != *w))
+                .collect();
+            let wire: Vec<&str> = job
+                .tables
+                .iter()
+                .flat_map(|t| t.iter())
+                .filter(|o| o.on != On::Cli)
+                .map(|o| o.field)
+                .collect();
+            assert_eq!(listed, wire, "{}", job.name);
+        }
     }
 }

@@ -82,7 +82,8 @@ pub enum ModelSource {
 }
 
 impl ModelSource {
-    fn netlist(&self) -> Result<Netlist, JobError> {
+    /// Parses or builds the model; a BLIF error names the source.
+    pub fn netlist(&self) -> Result<Netlist, JobError> {
         match self {
             ModelSource::Blif { name, text } => simcov_netlist::from_blif(text)
                 .map_err(|e| JobError::runtime(format!("cannot parse {name}: {e}"))),
@@ -359,6 +360,19 @@ pub struct JobOutcome {
     pub cache_hit: Option<bool>,
 }
 
+impl JobOutcome {
+    /// A report that names no engine and used no server-side extras.
+    pub fn new(text: String, status: ExitStatus) -> JobOutcome {
+        JobOutcome {
+            text,
+            status,
+            engine_used: None,
+            degraded: 0,
+            cache_hit: None,
+        }
+    }
+}
+
 /// Server-side execution context. [`ExecCtx::default`] is the CLI path:
 /// no cache, no audit — byte-for-byte the historical subcommand
 /// behavior.
@@ -419,6 +433,26 @@ pub fn audit_engine(
     };
     let (mut diff, mut stats) = (DiffStats::default(), SymbolicEngineStats::default());
     sim.simulate(&sample, || true, &mut diff, &mut stats) == Some(expected)
+}
+
+/// The fault universe a campaign, closure or analysis job samples.
+fn sample_faults(m: &ExplicitMealy, max_faults: usize, seed: u64) -> Vec<Fault> {
+    let space = FaultSpace {
+        max_faults,
+        seed,
+        ..FaultSpace::default()
+    };
+    enumerate_single_faults(m, &space)
+}
+
+/// The whole-model collapse analysis of `faults`.
+fn collapse(
+    m: &ExplicitMealy,
+    faults: &[Fault],
+    opts: AnalyzeOptions,
+) -> Result<simcov_analyze::CollapseAnalysis, JobError> {
+    analyze_collapse(m, faults, &opts)
+        .map_err(|e| JobError::runtime(format!("collapse analysis failed: {e}")))
 }
 
 /// The netlist bridge the symbolic engine simulates through, when
@@ -495,14 +529,7 @@ fn execute_campaign(
     let m = enumerate(&n)?;
     let tour = generate_tour_traced(&m, TourKind::Postman, tel)
         .map_err(|e| JobError::runtime(format!("tour generation failed: {e}")))?;
-    let faults = enumerate_single_faults(
-        &m,
-        &FaultSpace {
-            max_faults: opts.max_faults,
-            seed: opts.seed,
-            ..FaultSpace::default()
-        },
-    );
+    let faults = sample_faults(&m, opts.max_faults, opts.seed);
     let tests = TestSet::single(extend_cyclically(&tour.inputs, opts.k));
     tel.counter_add("campaign.faults_enumerated", faults.len() as u64);
     tel.gauge_set("campaign.test_vectors", tests.total_vectors() as u64);
@@ -544,10 +571,7 @@ fn execute_campaign(
     // certificate binds exactly this (machine, fault list) pair.
     let analysis = match opts.collapse {
         CollapseMode::Off => None,
-        _ => Some(
-            analyze_collapse(&m, &faults, &AnalyzeOptions::default())
-                .map_err(|e| JobError::runtime(format!("collapse analysis failed: {e}")))?,
-        ),
+        _ => Some(collapse(&m, &faults, AnalyzeOptions::default())?),
     };
     let mut campaign = ResilientCampaign::new(&m, &faults, &tests)
         .engine(engine)
@@ -627,13 +651,7 @@ fn execute_campaign(
     for f in run.failures.iter().take(8) {
         let _ = writeln!(out, "failure: {f}");
     }
-    let _ = writeln!(
-        out,
-        "wall: {:.1} ms on {} worker thread{}",
-        run.wall.as_secs_f64() * 1e3,
-        run.jobs,
-        if run.jobs == 1 { "" } else { "s" }
-    );
+    write_wall(&mut out, run.wall, run.jobs);
     for esc in run.report.escapes().take(8) {
         let _ = writeln!(out, "  escape: {}", esc.fault);
     }
@@ -655,6 +673,14 @@ fn execute_campaign(
         degraded,
         cache_hit,
     })
+}
+
+/// The `wall:` line, the one campaign report line that differs between
+/// runs of the same job.
+fn write_wall(out: &mut String, wall: Duration, jobs: usize) {
+    let ms = wall.as_secs_f64() * 1e3;
+    let s = if jobs == 1 { "" } else { "s" };
+    let _ = writeln!(out, "wall: {ms:.1} ms on {jobs} worker thread{s}");
 }
 
 /// Implicit symbolic campaign: models too wide to enumerate (the
@@ -750,19 +776,10 @@ fn execute_campaign_implicit(
             "complete (horizon-bounded)"
         }
     );
-    let _ = writeln!(
-        out,
-        "wall: {:.1} ms on {} worker thread{}",
-        started.elapsed().as_secs_f64() * 1e3,
-        jobs,
-        if jobs == 1 { "" } else { "s" }
-    );
+    write_wall(&mut out, started.elapsed(), jobs);
     Ok(JobOutcome {
-        text: out,
-        status: ExitStatus::Ok,
         engine_used: Some(Engine::Symbolic),
-        degraded: 0,
-        cache_hit: None,
+        ..JobOutcome::new(out, ExitStatus::Ok)
     })
 }
 
@@ -781,22 +798,11 @@ fn execute_close(
     report_format(&opts.format)?;
     let n = model.netlist()?;
     let m = enumerate(&n)?;
-    let faults = enumerate_single_faults(
-        &m,
-        &FaultSpace {
-            max_faults: opts.max_faults,
-            seed: opts.seed,
-            ..FaultSpace::default()
-        },
-    );
+    let faults = sample_faults(&m, opts.max_faults, opts.seed);
     tel.counter_add("campaign.faults_enumerated", faults.len() as u64);
-    let analysis = if opts.collapse {
-        Some(
-            analyze_collapse(&m, &faults, &AnalyzeOptions::default())
-                .map_err(|e| JobError::runtime(format!("collapse analysis failed: {e}")))?,
-        )
-    } else {
-        None
+    let analysis = match opts.collapse {
+        true => Some(collapse(&m, &faults, AnalyzeOptions::default())?),
+        false => None,
     };
     let config = ClosureConfig {
         max_rounds: opts.rounds,
@@ -932,16 +938,14 @@ fn execute_close(
         let _ = writeln!(out, "stats: {}", run.stats);
         let _ = writeln!(out, "wall: {:.1} ms", wall.as_secs_f64() * 1e3);
     }
+    let status = if run.closed {
+        ExitStatus::Ok
+    } else {
+        ExitStatus::Partial
+    };
     Ok(JobOutcome {
-        text: out,
-        status: if run.closed {
-            ExitStatus::Ok
-        } else {
-            ExitStatus::Partial
-        },
         engine_used: Some(opts.engine),
-        degraded: 0,
-        cache_hit: None,
+        ..JobOutcome::new(out, status)
     })
 }
 
@@ -958,13 +962,7 @@ fn execute_tour(model: &ModelSource, kind: &str, tel: &Telemetry) -> Result<JobO
     for &i in &tour.inputs {
         let _ = writeln!(out, "{}", m.input_label(i));
     }
-    Ok(JobOutcome {
-        text: out,
-        status: ExitStatus::Ok,
-        engine_used: None,
-        degraded: 0,
-        cache_hit: None,
-    })
+    Ok(JobOutcome::new(out, ExitStatus::Ok))
 }
 
 fn lint_outcome(d: &simcov_lint::Diagnostics, format: &str) -> JobOutcome {
@@ -976,17 +974,12 @@ fn lint_outcome(d: &simcov_lint::Diagnostics, format: &str) -> JobOutcome {
         }
         _ => d.render_text(),
     };
-    JobOutcome {
-        text,
-        status: if d.has_denials() {
-            ExitStatus::Error
-        } else {
-            ExitStatus::Ok
-        },
-        engine_used: None,
-        degraded: 0,
-        cache_hit: None,
-    }
+    let status = if d.has_denials() {
+        ExitStatus::Error
+    } else {
+        ExitStatus::Ok
+    };
+    JobOutcome::new(text, status)
 }
 
 /// Lint execution: the body of `simcov lint`. A BLIF parse failure is
@@ -1065,22 +1058,9 @@ fn execute_analyze(
 ) -> Result<JobOutcome, JobError> {
     let n = model.netlist()?;
     let m = enumerate(&n)?;
-    let faults = enumerate_single_faults(
-        &m,
-        &FaultSpace {
-            max_faults: opts.max_faults,
-            seed: opts.seed,
-            ..FaultSpace::default()
-        },
-    );
-    let analysis = analyze_collapse(
-        &m,
-        &faults,
-        &AnalyzeOptions {
-            max_nodes_per_cell: opts.max_nodes,
-        },
-    )
-    .map_err(|e| JobError::runtime(format!("collapse analysis failed: {e}")))?;
+    let faults = sample_faults(&m, opts.max_faults, opts.seed);
+    let max_nodes_per_cell = opts.max_nodes;
+    let analysis = collapse(&m, &faults, AnalyzeOptions { max_nodes_per_cell })?;
     let stats = &analysis.stats;
     tel.counter_add("analyze.faults", stats.faults as u64);
     tel.counter_add("analyze.classes", stats.classes as u64);
@@ -1094,8 +1074,9 @@ fn execute_analyze(
         config,
     );
     diags.set_fingerprint(machine_fingerprint(&m));
+    let mut outcome = lint_outcome(&diags, format);
     if format == "json" {
-        return Ok(lint_outcome(&diags, format));
+        return Ok(outcome);
     }
     let mut text = String::new();
     let _ = writeln!(text, "model: {m:?}");
@@ -1124,18 +1105,8 @@ fn execute_analyze(
         "certificate: {:#018x}",
         analysis.certificate.fingerprint()
     );
-    text.push_str(&diags.render_text());
-    Ok(JobOutcome {
-        text,
-        status: if diags.has_denials() {
-            ExitStatus::Error
-        } else {
-            ExitStatus::Ok
-        },
-        engine_used: None,
-        degraded: 0,
-        cache_hit: None,
-    })
+    outcome.text.insert_str(0, &text);
+    Ok(outcome)
 }
 
 #[cfg(test)]

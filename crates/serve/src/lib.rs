@@ -2,7 +2,7 @@
 //!
 //! The single-shot CLI runs one job per process; this crate composes the
 //! workspace's deterministic engines into a long-lived server that
-//! accepts campaign/lint/tour/analyze jobs over a TCP socket and
+//! accepts campaign/lint/tour/analyze/close jobs over a TCP socket and
 //! multiplexes them across a thread pool, without giving up the
 //! byte-identical determinism the engines guarantee. The pieces:
 //!
@@ -10,6 +10,10 @@
 //!   campaign` and a served campaign job run *the same function*, which
 //!   is what makes "server results are byte-identical to single-shot CLI
 //!   runs" true by construction rather than by testing alone.
+//! * [`options`] — one option table per job kind, read by the CLI's
+//!   argument reader, the wire protocol's request reader and the usage
+//!   text, so the surfaces cannot drift; both readers reject unknown or
+//!   mistyped input.
 //! * [`protocol`] — the wire format: 4-byte big-endian length-prefixed
 //!   UTF-8 JSON frames (`simcov-serve v1`), parsed with the in-repo
 //!   [`simcov_obs::json`] reader. Malformed frames get a structured
@@ -44,6 +48,7 @@ pub mod chaos;
 pub mod client;
 pub mod jobs;
 pub mod journal;
+pub mod options;
 pub mod protocol;
 pub mod queue;
 pub mod server;

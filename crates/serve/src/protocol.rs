@@ -15,16 +15,15 @@
 //!   structured `{"type":"error"}` frame and keeps the connection open.
 //!
 //! Requests are JSON objects with a `"type"` field: `campaign`, `lint`,
-//! `tour` and `analyze` submit jobs (with `"id"`, a `"model"` object and
-//! per-kind options); `query` polls a prior id; `stats` snapshots the
+//! `tour`, `analyze` and `close` submit jobs (with `"id"`, a `"model"`
+//! object and the kind's fields from its [`crate::options`] table);
+//! `query` polls a prior id; `stats` snapshots the
 //! server counters; `shutdown` drains and stops the server. Responses
 //! are `ack`, `result`, `stats` and `error` objects — see DESIGN.md §14
 //! for the full grammar and a worked session.
 
-use crate::jobs::{
-    AnalyzeOpts, CampaignOpts, CloseOpts, JobKind, JobSpec, ModelSource, SeverityOverrides,
-};
-use simcov_core::{CollapseMode, Engine};
+use crate::jobs::JobSpec;
+use crate::options::{read_json, JobCommand, On, Opt, Slot, JOB_COMMANDS};
 use simcov_obs::json::{self, Json};
 use std::io::{Read, Write};
 
@@ -131,86 +130,6 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
     w.flush()
 }
 
-fn get_str<'a>(obj: &'a Json, field: &str) -> Result<&'a str, String> {
-    obj.get(field)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string `{field}`"))
-}
-
-fn get_u64(obj: &Json, field: &str, default: u64) -> Result<u64, String> {
-    match obj.get(field) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("`{field}` must be a non-negative integer")),
-    }
-}
-
-fn get_opt_u64(obj: &Json, field: &str) -> Result<Option<u64>, String> {
-    match obj.get(field) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("`{field}` must be a non-negative integer")),
-    }
-}
-
-fn parse_model(req: &Json) -> Result<ModelSource, String> {
-    let model = req.get("model").ok_or("missing `model` object")?;
-    match (model.get("dlx"), model.get("blif")) {
-        (Some(dlx), None) => Ok(ModelSource::Dlx(
-            dlx.as_str()
-                .ok_or("`model.dlx` must be a string")?
-                .to_string(),
-        )),
-        (None, Some(blif)) => Ok(ModelSource::Blif {
-            name: model
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("<wire>")
-                .to_string(),
-            text: blif
-                .as_str()
-                .ok_or("`model.blif` must be a string")?
-                .to_string(),
-        }),
-        _ => Err("`model` must carry exactly one of `dlx` or `blif`".to_string()),
-    }
-}
-
-/// The optional `engine` field, parsed against the one table of engine
-/// names the CLI's `--engine` flag uses.
-fn parse_engine(req: &Json) -> Result<Engine, String> {
-    match req.get("engine") {
-        None => Ok(Engine::default()),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| format!("`engine` must be a string ({})", Engine::names()))?
-            .parse(),
-    }
-}
-
-fn parse_overrides(req: &Json) -> Result<SeverityOverrides, String> {
-    let mut overrides = Vec::new();
-    let Some(list) = req.get("overrides") else {
-        return Ok(overrides);
-    };
-    let arr = list.as_arr().ok_or("`overrides` must be an array")?;
-    for pair in arr {
-        let code = pair
-            .get("code")
-            .and_then(Json::as_str)
-            .ok_or("override entries need a string `code`")?;
-        let severity = pair
-            .get("severity")
-            .and_then(Json::as_str)
-            .ok_or("override entries need a string `severity`")?;
-        overrides.push((code.to_string(), severity.to_string()));
-    }
-    Ok(overrides)
-}
-
 /// A parsed request.
 #[derive(Debug)]
 pub enum Request {
@@ -233,123 +152,48 @@ pub enum Request {
     Shutdown,
 }
 
-/// Parses a request frame. Errors are client-facing messages.
+/// The fields of a `query` request.
+#[rustfmt::skip]
+static QUERY: &[Opt<Option<String>>] = &[
+    Opt::new("", "id", On::Wire, Slot::MaybeText(|id| id), "the job id to poll"),
+];
+
+/// Parses a request frame. Errors are client-facing messages. A job's
+/// fields are read through its kind's option table, so an unknown or
+/// mistyped field is an error, never ignored.
 pub fn parse_request(req: &Json) -> Result<Request, String> {
-    let kind = get_str(req, "type")?;
+    let kind = req
+        .get("type")
+        .and_then(Json::as_str)
+        .ok_or("missing or non-string `type`")?;
+    let fields = req
+        .as_obj()
+        .unwrap_or_default()
+        .iter()
+        .filter(|(k, _)| k != "type");
+    if let Some(job) = JobCommand::find(kind) {
+        let (spec, want_trace) = job.read_json(fields)?;
+        return Ok(Request::Submit { spec, want_trace });
+    }
+    let what = format!("a `{kind}` request");
     match kind {
-        "query" => Ok(Request::Query {
-            id: get_str(req, "id")?.to_string(),
-        }),
-        "stats" => Ok(Request::Stats),
-        "shutdown" => Ok(Request::Shutdown),
-        "campaign" | "lint" | "tour" | "analyze" | "close" => {
-            let id = get_str(req, "id")?.to_string();
-            let model = parse_model(req)?;
-            let job = match kind {
-                "campaign" => {
-                    for forbidden in ["checkpoint", "resume"] {
-                        if req.get(forbidden).is_some() {
-                            return Err(format!(
-                                "`{forbidden}` is not accepted over the wire: the server \
-                                 journal owns durability (use `serve --resume`)"
-                            ));
-                        }
-                    }
-                    let engine = parse_engine(req)?;
-                    let collapse = match req.get("collapse") {
-                        None => CollapseMode::Off,
-                        Some(v) => v
-                            .as_str()
-                            .and_then(|s| s.parse::<CollapseMode>().ok())
-                            .ok_or("`collapse` must be off|on|verify")?,
-                    };
-                    let defaults = CampaignOpts::default();
-                    JobKind::Campaign(CampaignOpts {
-                        max_faults: get_u64(req, "max_faults", defaults.max_faults as u64)?
-                            as usize,
-                        seed: get_u64(req, "seed", defaults.seed)?,
-                        k: get_u64(req, "k", defaults.k as u64)? as usize,
-                        jobs: get_u64(req, "jobs", defaults.jobs as u64)? as usize,
-                        max_retries: get_u64(req, "max_retries", defaults.max_retries as u64)?
-                            as usize,
-                        deadline_ms: get_opt_u64(req, "deadline_ms")?,
-                        max_steps: get_opt_u64(req, "max_steps")?,
-                        checkpoint: None,
-                        resume: false,
-                        engine,
-                        collapse,
-                    })
-                }
-                "lint" => JobKind::Lint {
-                    format: req
-                        .get("format")
-                        .map(|v| v.as_str().map(str::to_string))
-                        .unwrap_or(Some("text".to_string()))
-                        .ok_or("`format` must be a string")?,
-                    // Matches the CLI's `lint --k` default.
-                    k: get_u64(req, "k", 1)? as usize,
-                    overrides: parse_overrides(req)?,
-                },
-                "tour" => JobKind::Tour {
-                    kind: req
-                        .get("kind")
-                        .map(|v| v.as_str().map(str::to_string))
-                        .unwrap_or(Some("postman".to_string()))
-                        .ok_or("`kind` must be a string")?,
-                },
-                "analyze" => {
-                    let defaults = AnalyzeOpts::default();
-                    JobKind::Analyze {
-                        format: req
-                            .get("format")
-                            .map(|v| v.as_str().map(str::to_string))
-                            .unwrap_or(Some("text".to_string()))
-                            .ok_or("`format` must be a string")?,
-                        opts: AnalyzeOpts {
-                            max_faults: get_u64(req, "max_faults", defaults.max_faults as u64)?
-                                as usize,
-                            seed: get_u64(req, "seed", defaults.seed)?,
-                            max_nodes: get_u64(req, "max_nodes", defaults.max_nodes as u64)?
-                                as usize,
-                        },
-                        overrides: parse_overrides(req)?,
-                    }
-                }
-                "close" => {
-                    let engine = parse_engine(req)?;
-                    let defaults = CloseOpts::default();
-                    JobKind::Close(CloseOpts {
-                        max_faults: get_u64(req, "max_faults", defaults.max_faults as u64)?
-                            as usize,
-                        seed: get_u64(req, "seed", defaults.seed)?,
-                        rounds: get_u64(req, "rounds", defaults.rounds as u64)? as usize,
-                        budget: get_opt_u64(req, "budget")?,
-                        jobs: get_u64(req, "jobs", defaults.jobs as u64)? as usize,
-                        engine,
-                        collapse: matches!(req.get("collapse"), Some(Json::Bool(true))),
-                        format: req
-                            .get("format")
-                            .map(|v| v.as_str().map(str::to_string))
-                            .unwrap_or(Some(defaults.format))
-                            .ok_or("`format` must be a string")?,
-                    })
-                }
-                _ => unreachable!("matched above"),
-            };
-            let want_trace = matches!(req.get("trace"), Some(Json::Bool(true)));
-            Ok(Request::Submit {
-                spec: JobSpec {
-                    id,
-                    model,
-                    kind: job,
-                },
-                want_trace,
+        "query" => {
+            let mut id = None;
+            read_json(&what, &[QUERY], fields, &mut id)?;
+            Ok(Request::Query {
+                id: id.ok_or("missing or non-string `id`")?,
             })
         }
-        other => Err(format!(
-            "unknown request type `{other}` \
-             (campaign|lint|tour|analyze|close|query|stats|shutdown)"
-        )),
+        "stats" => read_json::<()>(&what, &[], fields, &mut ()).map(|()| Request::Stats),
+        "shutdown" => read_json::<()>(&what, &[], fields, &mut ()).map(|()| Request::Shutdown),
+        other => {
+            let jobs = JOB_COMMANDS.iter().map(|c| c.name);
+            let kinds: Vec<_> = jobs.chain(["query", "stats", "shutdown"]).collect();
+            Err(format!(
+                "unknown request type `{other}` ({})",
+                kinds.join("|")
+            ))
+        }
     }
 }
 
@@ -376,6 +220,7 @@ pub fn ack_response(id: &str, status: &str, retry_after_ms: Option<u64>) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::{CampaignOpts, CloseOpts, JobKind};
 
     fn roundtrip(payload: &str) -> Result<Json, FrameError> {
         let mut buf = Vec::new();
@@ -537,5 +382,53 @@ mod tests {
         assert!(parse_request(&req)
             .unwrap_err()
             .contains("unknown request type"));
+    }
+
+    /// Unknown fields and `model` keys, mistyped values and repeated
+    /// fields are errors.
+    #[test]
+    fn unknown_and_mistyped_fields_are_errors() {
+        let cases = [
+            (
+                r#"{"type":"campaign","id":"a","model":{"dlx":"reduced-obs"},"engnie":"naive"}"#,
+                "unknown field `engnie` in a `campaign` request (did you mean `engine`?)",
+            ),
+            (
+                r#"{"type":"lint","id":"a","model":{"blif":"x","nmae":"m"}}"#,
+                "unknown field `nmae` in `model` (did you mean `name`?)",
+            ),
+            (
+                r#"{"type":"close","id":"a","model":{"dlx":"reduced-obs"},"collapse":"on"}"#,
+                "`collapse` must be true or false",
+            ),
+            (
+                r#"{"type":"lint","id":"a","model":{"dlx":"reduced-obs"},"trace":"yes"}"#,
+                "`trace` must be true or false",
+            ),
+            (
+                r#"{"type":"campaign","id":"a","model":{"dlx":"final"},"seed":1,"seed":2}"#,
+                "`seed` given twice",
+            ),
+            (
+                r#"{"type":"campaign","id":"a","model":{"dlx":"final"},"metrics":true}"#,
+                "`metrics` is not accepted over the wire (--metrics: ",
+            ),
+            (
+                r#"{"type":"lint","id":"a","model":{"dlx":"final"},"overrides":[{"code":"SC001"}]}"#,
+                "override entries need a string `severity`",
+            ),
+            (
+                r#"{"type":"query","id":"a","wait":true}"#,
+                "unknown field `wait` in a `query` request",
+            ),
+            (
+                r#"{"type":"stats","verbose":true}"#,
+                "unknown field `verbose` in a `stats` request",
+            ),
+        ];
+        for (req, message) in cases {
+            let err = parse_request(&simcov_obs::json::parse(req).unwrap()).unwrap_err();
+            assert!(err.starts_with(message), "{req}: {err}");
+        }
     }
 }

@@ -376,6 +376,7 @@ impl Server {
         let telemetry = Telemetry::new();
         let mut restored_pending = Vec::new();
         let mut restored_results = Vec::new();
+        let mut refused = Vec::new();
         let journal = match (&config.journal, config.resume) {
             (None, _) => None,
             (Some(path), false) => Some(ServerJournal::create(path)?),
@@ -390,16 +391,30 @@ impl Server {
                     }
                 }
                 for (_fp, request) in pending {
-                    let parsed = json::parse(&request)
-                        .ok()
-                        .and_then(|req| parse_request(&req).ok());
-                    if let Some(Request::Submit { spec, want_trace }) = parsed {
-                        restored_pending.push(QueuedJob {
-                            spec,
-                            want_trace,
-                            attempt_base: 0,
-                            reply: None,
-                        });
+                    let frame = json::parse(&request);
+                    let parsed = match &frame {
+                        Ok(req) => parse_request(req),
+                        Err(e) => Err(format!("malformed frame: {e}")),
+                    };
+                    match parsed {
+                        Ok(Request::Submit { spec, want_trace }) => {
+                            restored_pending.push(QueuedJob {
+                                spec,
+                                want_trace,
+                                attempt_base: 0,
+                                reply: None,
+                            })
+                        }
+                        Ok(_) => {}
+                        // A record an earlier server admitted but this one
+                        // refuses: its id answers `query` with the reason.
+                        Err(message) => {
+                            telemetry.counter_add(names::SERVE_PROTOCOL_ERRORS, 1);
+                            let id = frame
+                                .ok()
+                                .and_then(|f| f.get("id")?.as_str().map(str::to_string));
+                            refused.extend(id.map(|id| (id, error_response(&message))));
+                        }
                     }
                 }
                 Some(ServerJournal::append(path)?)
@@ -425,7 +440,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             config,
         });
-        for (id, result) in restored_results {
+        for (id, result) in restored_results.into_iter().chain(refused) {
             shared.store_result(&id, result, Delivery::Parked);
         }
         Ok(Server {
@@ -606,16 +621,11 @@ fn process_job(shared: &Shared, job: QueuedJob) {
             shared
                 .telemetry
                 .counter_add(names::SERVE_JOBS_QUARANTINED, 1);
-            let outcome = jobs::JobOutcome {
-                text: format!(
-                    "job quarantined after {} attempts (panic isolation)\n",
-                    config.max_retries + 1
-                ),
-                status: ExitStatus::Error,
-                engine_used: None,
-                degraded: 0,
-                cache_hit: None,
-            };
+            let text = format!(
+                "job quarantined after {} attempts (panic isolation)\n",
+                config.max_retries + 1
+            );
+            let outcome = jobs::JobOutcome::new(text, ExitStatus::Error);
             result_frame(&job.spec.id, job.spec.kind.name(), None, &outcome, None)
         }
         Ok((Ok(executed), tel)) => {
@@ -641,13 +651,7 @@ fn process_job(shared: &Shared, job: QueuedJob) {
         }
         Ok((Err(err), _)) => {
             shared.telemetry.counter_add(names::SERVE_JOBS_COMPLETED, 1);
-            let outcome = jobs::JobOutcome {
-                text: format!("{}\n", err.message),
-                status: err.status,
-                engine_used: None,
-                degraded: 0,
-                cache_hit: None,
-            };
+            let outcome = jobs::JobOutcome::new(format!("{}\n", err.message), err.status);
             result_frame(&job.spec.id, job.spec.kind.name(), None, &outcome, None)
         }
     };
@@ -1076,5 +1080,37 @@ mod tests {
         });
         assert_eq!(shared.lookup("job19999"), Lookup::Done(frame(16)));
         assert_eq!(shared.lookup("never-submitted"), Lookup::Unknown);
+    }
+
+    /// A pending journal record this server refuses (an unknown field)
+    /// is answered, not dropped: `query` on its id returns the parse
+    /// error, and the refusal counts as a protocol error.
+    #[test]
+    fn a_refused_pending_record_answers_query_with_its_error() {
+        let path = std::env::temp_dir().join(format!(
+            "simcov-serve-refused-resume-{}.journal",
+            std::process::id()
+        ));
+        let journal = ServerJournal::create(&path).unwrap();
+        let request = r#"{"type":"lint","id":"old","model":{"dlx":"reduced-obs"},"colour":"red"}"#;
+        journal.admit(7, request).unwrap();
+        drop(journal);
+        let (addr, handle) = start(ServerConfig {
+            workers: 1,
+            journal: Some(path.to_string_lossy().into_owned()),
+            resume: true,
+            ..ServerConfig::default()
+        });
+        let mut c = Client::connect(&addr).unwrap();
+        let answer = c.request(&client::query("old")).unwrap();
+        assert_eq!(answer.get("type").and_then(Json::as_str), Some("error"));
+        let error = answer.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.starts_with("unknown field `colour`"), "{error}");
+        let stats = c.request(&client::stats()).unwrap();
+        let counter = |name: &str| stats.get("counters")?.get(name)?.as_u64();
+        assert_eq!(counter(names::SERVE_PROTOCOL_ERRORS), Some(1));
+        c.request(&client::shutdown()).unwrap();
+        handle.join().unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -264,3 +264,58 @@ fn disconnect_after_admission_parks_the_result() {
     let summary = handle.join().expect("server thread");
     assert_eq!(summary.completed, 1);
 }
+
+#[test]
+fn strict_field_errors_keep_the_connection_usable() {
+    // Requests with an unknown field, an unknown `model` key or a value
+    // of the wrong type are refused with an error frame each; the same
+    // connection then still answers `stats` and runs a real job.
+    let (addr, handle) = start_server();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let refused = [
+        (
+            r#"{"type":"campaign","id":"a","model":{"dlx":"reduced-obs"},"engnie":"naive"}"#,
+            "did you mean `engine`?",
+        ),
+        (
+            r#"{"type":"lint","id":"b","model":{"dlx":"reduced-obs","nmae":"m"}}"#,
+            "unknown field `nmae` in `model`",
+        ),
+        (
+            r#"{"type":"close","id":"c","model":{"dlx":"reduced-obs"},"collapse":"on"}"#,
+            "`collapse` must be true or false",
+        ),
+        (
+            r#"{"type":"lint","id":"d","model":{"dlx":"reduced-obs"},"trace":"yes"}"#,
+            "`trace` must be true or false",
+        ),
+    ];
+    for (payload, message) in refused {
+        stream
+            .write_all(&frame_bytes(payload.as_bytes()))
+            .expect("write request");
+        let reply = String::from_utf8(read_raw_frame(&mut stream).expect("error frame")).unwrap();
+        assert!(
+            reply.starts_with(r#"{"type":"error""#),
+            "{payload}: {reply}"
+        );
+        assert!(reply.contains(message), "{payload}: {reply}");
+        stream
+            .write_all(&frame_bytes(br#"{"type":"stats"}"#))
+            .expect("write stats");
+        let stats = String::from_utf8(read_raw_frame(&mut stream).expect("stats")).unwrap();
+        assert!(stats.contains(r#""serve.protocol_errors""#), "{stats}");
+    }
+    stream
+        .write_all(&frame_bytes(valid_submit("after-strict").as_bytes()))
+        .expect("submit");
+    let ack = String::from_utf8(read_raw_frame(&mut stream).expect("ack")).unwrap();
+    assert!(ack.contains("admitted"), "{ack}");
+    let result = String::from_utf8(read_raw_frame(&mut stream).expect("result")).unwrap();
+    assert!(result.contains(r#""exit":0"#), "{result}");
+    drop(stream);
+    let mut cl = Client::connect(&addr).expect("reconnect");
+    let _ = cl.request(&client::shutdown()).expect("shutdown");
+    let summary = handle.join().expect("server thread");
+    assert_eq!(summary.completed, 1);
+}
